@@ -10,6 +10,7 @@ import (
 
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
+	"cnnrev/internal/dataset"
 	"cnnrev/internal/experiments"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/oram"
@@ -418,6 +419,40 @@ func BenchmarkTrainerEpochLeNet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Epoch(xs, ys, rng)
+	}
+}
+
+// BenchmarkTrainerEpochConvNetCandidate times one training epoch of the
+// shape that dominates candidate ranking: ConvNet's true structure
+// recovered by the structure attack and materialized at DepthDiv 16 for
+// 32×32×3 input, trained as RankCandidatesResult trains it (4 classes × 12
+// samples, batch 8, LR 0.1, gradient clipping).
+func BenchmarkTrainerEpochConvNetCandidate(b *testing.B) {
+	victim := nn.ConvNet(10)
+	victim.InitWeights(1)
+	rep, err := core.RunStructureAttack(victim, accel.Config{}, structrev.DefaultOptions(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.TruthIndex < 0 {
+		b.Fatal("convnet: true structure not among the candidates")
+	}
+	net, err := core.Materialize(rep.Analysis, &rep.Structures[rep.TruthIndex], victim.Input, 4, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.InitWeights(2)
+	ds := dataset.Synthetic(4, 12, 3, 32, 32, 3)
+	tr := nn.NewTrainer(net)
+	tr.LR = 0.1
+	tr.BatchSize = 8
+	tr.ClipNorm = 1.0
+	rng := rand.New(rand.NewSource(4))
+	tr.Epoch(ds.X, ds.Y, rng) // warm the per-worker scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Epoch(ds.X, ds.Y, rng)
 	}
 }
 

@@ -110,12 +110,13 @@ type RankResult struct {
 }
 
 // candState is one candidate's resumable training state: the materialized
-// network, its trainer (momentum velocities and gradient buffers), and the
-// private epoch-shuffle RNG. Holding these across rungs is what lets a
-// survivor continue where it stopped instead of retraining from scratch —
-// and what keeps the tournament bit-identical to the flat schedule when no
-// elimination happens: the epoch/RNG stream is exactly the flat one, merely
-// interleaved with extra read-only accuracy evaluations.
+// network (weights), its trainer (momentum velocities; per-worker scratch
+// only while it trains), and the private epoch-shuffle RNG. Holding these
+// across rungs is what lets a survivor continue where it stopped instead of
+// retraining from scratch — and what keeps the tournament bit-identical to
+// the flat schedule when no elimination happens: the epoch/RNG stream is
+// exactly the flat one, merely interleaved with extra read-only accuracy
+// evaluations.
 type candState struct {
 	net    *nn.Network
 	tr     *nn.Trainer
@@ -156,6 +157,26 @@ func RankCandidatesCtx(ctx context.Context, rep *StructureReport, input nn.Shape
 // of per-candidate accuracies (NaN last, ties by candidate index), which is
 // equally schedule-independent, so the whole tournament is too.
 func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Shape, rc RankConfig) *RankResult {
+	return newRanking(ctx, rep, input, rc).run()
+}
+
+// ranking is the working state of one RankCandidatesResult call: the
+// defaulted config, the synthetic train/test split, and the per-candidate
+// scores and resumable training states.
+type ranking struct {
+	ctx         context.Context
+	rep         *StructureReport
+	input       nn.Shape
+	rc          RankConfig
+	train, test *dataset.Set
+	res         *RankResult
+	scores      []CandidateScore
+	states      []*candState
+}
+
+// newRanking applies rc's defaults, builds the dataset and sizes the
+// per-candidate slices; run then executes the schedule.
+func newRanking(ctx context.Context, rep *StructureReport, input nn.Shape, rc RankConfig) *ranking {
 	if rc.Classes == 0 {
 		rc.Classes = 4
 	}
@@ -185,75 +206,84 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Sh
 	}
 	testPer := rc.PerClass/3 + 1
 	ds := dataset.Synthetic(rc.Classes, rc.PerClass+testPer, input.C, input.H, input.W, rc.Seed+100)
-	train, test := ds.Split(rc.Classes * rc.PerClass)
+	r := &ranking{ctx: ctx, rep: rep, input: input, rc: rc, res: &RankResult{}}
+	r.train, r.test = ds.Split(rc.Classes * rc.PerClass)
 
 	n := len(rep.Structures)
-	res := &RankResult{}
 	if rc.MaxCandidates > 0 && n > rc.MaxCandidates {
-		res.Skipped = n - rc.MaxCandidates
+		r.res.Skipped = n - rc.MaxCandidates
 		n = rc.MaxCandidates
 	}
-	halving := rc.Halving && rc.Eta > 1 && rc.MinEpochs < rc.Epochs
-	res.Halving = halving
-
-	scores := make([]CandidateScore, n)
-	states := make([]*candState, n)
-	for i := range scores {
-		scores[i] = CandidateScore{Index: i, IsTruth: i == rep.TruthIndex}
+	r.res.Halving = rc.Halving && rc.Eta > 1 && rc.MinEpochs < rc.Epochs
+	r.scores = make([]CandidateScore, n)
+	r.states = make([]*candState, n)
+	for i := range r.scores {
+		r.scores[i] = CandidateScore{Index: i, IsTruth: i == rep.TruthIndex}
 	}
+	return r
+}
 
-	// trainOne brings candidate i up to the cumulative epoch budget and
-	// re-evaluates its validation accuracy. release drops the resumable
-	// state afterwards (final rung: nothing left to resume), restoring the
-	// flat path's transient-memory behavior.
-	trainOne := func(i, target int, release bool) {
-		sc := &scores[i]
-		if sc.Err != nil {
-			return // failed to materialize or already cancelled
-		}
-		if err := ctx.Err(); err != nil {
+// trainOne brings candidate i up to the cumulative epoch budget and
+// re-evaluates its validation accuracy. release drops the resumable state
+// afterwards (final rung: nothing left to resume), restoring the flat
+// path's transient-memory behavior. Otherwise the candidate parks: its
+// trainer drops its per-worker scratch and keeps weights and velocities,
+// and candState keeps the RNG.
+func (r *ranking) trainOne(i, target int, release bool) {
+	rc := &r.rc
+	sc := &r.scores[i]
+	if sc.Err != nil {
+		return // failed to materialize or already cancelled
+	}
+	if err := r.ctx.Err(); err != nil {
+		sc.Err = err
+		sc.Accuracy = math.NaN()
+		return
+	}
+	st := r.states[i]
+	if st == nil {
+		net, err := Materialize(r.rep.Analysis, &r.rep.Structures[i], r.input, rc.Classes, rc.DepthDiv)
+		if err != nil {
 			sc.Err = err
 			sc.Accuracy = math.NaN()
 			return
 		}
-		st := states[i]
-		if st == nil {
-			net, err := Materialize(rep.Analysis, &rep.Structures[i], input, rc.Classes, rc.DepthDiv)
-			if err != nil {
-				sc.Err = err
-				sc.Accuracy = math.NaN()
-				return
-			}
-			net.InitWeights(rc.Seed + int64(i))
-			tr := nn.NewTrainer(net)
-			tr.LR = rc.LR
-			tr.BatchSize = rc.BatchSize
-			tr.ClipNorm = 1.0 // deep candidates at aggressive rates need clipping
-			st = &candState{net: net, tr: tr, rng: rand.New(rand.NewSource(rc.Seed + 7))}
-			states[i] = st
-		}
-		for st.epochs < target {
-			if err := ctx.Err(); err != nil {
-				sc.Err = err
-				sc.Accuracy = math.NaN()
-				return
-			}
-			st.tr.Epoch(train.X, train.Y, st.rng)
-			st.epochs++
-			sc.Epochs = st.epochs
-		}
-		sc.Accuracy = nn.Accuracy(st.net, test.X, test.Y, rc.TopK)
-		if release {
-			states[i] = nil
-		}
+		net.InitWeights(rc.Seed + int64(i))
+		tr := nn.NewTrainer(net)
+		tr.LR = rc.LR
+		tr.BatchSize = rc.BatchSize
+		tr.ClipNorm = 1.0 // deep candidates at aggressive rates need clipping
+		st = &candState{net: net, tr: tr, rng: rand.New(rand.NewSource(rc.Seed + 7))}
+		r.states[i] = st
 	}
+	for st.epochs < target {
+		if err := r.ctx.Err(); err != nil {
+			sc.Err = err
+			sc.Accuracy = math.NaN()
+			return
+		}
+		st.tr.Epoch(r.train.X, r.train.Y, st.rng)
+		st.epochs++
+		sc.Epochs = st.epochs
+	}
+	sc.Accuracy = nn.Accuracy(st.net, r.test.X, r.test.Y, rc.TopK)
+	if release {
+		r.states[i] = nil
+	} else {
+		st.tr.Release()
+	}
+}
 
-	survivors := make([]int, n)
+// run executes the flat schedule or the successive-halving tournament and
+// returns the sorted result.
+func (r *ranking) run() *RankResult {
+	rc, res, scores := &r.rc, r.res, r.scores
+	survivors := make([]int, len(scores))
 	for i := range survivors {
 		survivors[i] = i
 	}
 	budget := rc.Epochs
-	if halving {
+	if res.Halving {
 		budget = rc.MinEpochs
 	}
 	for len(survivors) > 0 {
@@ -264,7 +294,7 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Sh
 		}
 		if rc.Serial {
 			for _, i := range survivors {
-				trainOne(i, budget, final)
+				r.trainOne(i, budget, final)
 			}
 		} else {
 			// Candidates within a rung are fully independent; one task per
@@ -276,7 +306,7 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Sh
 			if rc.Runner != nil {
 				run = rc.Runner
 			}
-			run(len(surv), func(si int) { trainOne(surv[si], budget, final) })
+			run(len(surv), func(si int) { r.trainOne(surv[si], budget, final) })
 		}
 		rs := RungStat{TargetEpochs: budget, Candidates: len(survivors)}
 		for si, i := range survivors {
@@ -311,7 +341,7 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input nn.Sh
 		rs.Eliminated = len(order) - keep
 		res.Rungs = append(res.Rungs, rs)
 		for _, i := range order[keep:] {
-			states[i] = nil // eliminated: free the resumable state
+			r.states[i] = nil // eliminated: free the resumable state
 		}
 		// Train the next rung in candidate-index order (clearer serial
 		// reference; scheduling is unobservable either way).

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"cnnrev/internal/accel"
@@ -304,4 +305,44 @@ func TestRankHalvingTop1MatchesFlatGoldenVictims(t *testing.T) {
 			t.Fatalf("%s: halving spent %d epochs, flat %d", tc.name, halv.TotalEpochs, flat.TotalEpochs)
 		}
 	}
+}
+
+// TestRankHalvingParksCandidatesWithoutScratch pins the memory side of the
+// tournament: a candidate parked at a rung boundary keeps its weights,
+// velocities and RNG but no trainer scratch. The Runner looks at every
+// resumable state before each rung after the first, when all of them are
+// parked, and the parked run must still rank bit-identically.
+func TestRankHalvingParksCandidatesWithoutScratch(t *testing.T) {
+	rep, net := lenetReport(t)
+	rc := RankConfig{
+		Classes: 3, PerClass: 9, Epochs: 4, DepthDiv: 1, Seed: 11, MaxCandidates: 8,
+		Halving: true, Eta: 2, MinEpochs: 1,
+	}
+	r := newRanking(context.Background(), rep, net.Input, rc)
+	rungs, parked := 0, 0
+	r.rc.Runner = func(n int, fn func(int)) {
+		if rungs > 0 {
+			for i, st := range r.states {
+				if st == nil {
+					continue
+				}
+				parked++
+				// nn.Trainer keeps its per-worker scratch in the
+				// unexported bufs slice.
+				if bufs := reflect.ValueOf(st.tr).Elem().FieldByName("bufs"); bufs.Len() != 0 {
+					t.Errorf("rung %d: parked candidate %d holds %d scratch buffers", rungs, i, bufs.Len())
+				}
+			}
+		}
+		rungs++
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}
+	res := r.run()
+	if parked == 0 {
+		t.Fatalf("no candidate parked across %d rungs", rungs)
+	}
+	sameScores(t, "parked tournament vs reference", res.Scores,
+		RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores)
 }

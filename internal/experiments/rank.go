@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -126,6 +128,34 @@ func RankPerf(scale string) ([]RankPerfRow, error) {
 	return rows, nil
 }
 
+// machine describes where a timing was taken: timings are only
+// comparable between runs on the same cores and CPU.
+type machine struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisMachine describes the current machine. The CPU model comes from
+// /proc/cpuinfo and reads "unknown" where that file is missing.
+func thisMachine() machine {
+	env := machine{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), CPU: "unknown", GoVersion: runtime.Version()}
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return env
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			env.CPU = strings.TrimSpace(v)
+			break
+		}
+	}
+	return env
+}
+
 // FormatRankPerf renders the sweep as the results/perf_rank.md document.
 func FormatRankPerf(scale string, rows []RankPerfRow) string {
 	var b strings.Builder
@@ -136,6 +166,8 @@ func FormatRankPerf(scale string, rows []RankPerfRow) string {
 	b.WriteString("tournament selected a candidate whose flat accuracy is bit-equal to the\n")
 	b.WriteString("flat winner's (identical selection modulo exact-tie order).\n\n")
 	fmt.Fprintf(&b, "Scale: %s. Generated by `go run ./cmd/experiments -run rank -scale %s`.\n\n", scale, scale)
+	env := thisMachine()
+	fmt.Fprintf(&b, "Measured on %d cores (GOMAXPROCS %d), %s, %s.\n\n", env.Cores, env.GOMAXPROCS, env.CPU, env.GoVersion)
 	b.WriteString("| network | tol | candidates | flat epochs | tournament epochs | reduction | rungs | same top-1 | top-1 acc |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
 	for _, r := range rows {
@@ -160,8 +192,9 @@ func FormatRankPerf(scale string, rows []RankPerfRow) string {
 func WriteBenchRankJSON(path, scale string, rows []RankPerfRow) error {
 	doc := struct {
 		Scale string        `json:"scale"`
+		Env   machine       `json:"env"`
 		Rows  []RankPerfRow `json:"rows"`
-	}{Scale: scale, Rows: rows}
+	}{Scale: scale, Env: thisMachine(), Rows: rows}
 	raw, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
 		return err

@@ -35,15 +35,11 @@ func (n *Network) newGradState() *gradState {
 			}
 		}
 		if n.Specs[i].Kind == KindConv {
-			spec := &n.Specs[i]
-			in := n.InShapes[i][0]
-			c := spec.ConvOut(in)
+			c := n.Specs[i].ConvOut(n.InShapes[i][0])
 			if c.Len() > maxAct {
 				maxAct = c.Len()
 			}
-			if k := in.C * spec.F * spec.F * c.H * c.W; k > maxCols {
-				maxCols = k
-			}
+			maxCols = max(maxCols, n.colsLen(i))
 		}
 	}
 	gs.dActMax = make([]float32, maxAct)
@@ -113,8 +109,8 @@ func (n *Network) backward(st *state, gs *gradState, x []float32) {
 			if ref != InputRef {
 				dIn = gs.dInMax[:in.Len()]
 			}
-			conv.Backward(st.input(n, i, 0, x), in.H, in.W, n.Params[i].W.Data,
-				dAct, gs.dW[i], gs.dB[i], dIn, st.cols, gs.colsGrad)
+			conv.Backward(st.cols[i], in.H, in.W, n.Params[i].W.Data,
+				dAct, gs.dW[i], gs.dB[i], dIn, gs.colsGrad)
 			if ref != InputRef {
 				dst := gs.dOut[ref]
 				for j, v := range dIn {
@@ -261,11 +257,20 @@ func (tr *Trainer) ensureBufs() {
 		tr.Workers = 1
 	}
 	for len(tr.bufs) < tr.Workers {
-		tr.bufs = append(tr.bufs, &trainBuf{st: tr.Net.newState(), gs: tr.Net.newGradState()})
+		tr.bufs = append(tr.bufs, &trainBuf{st: tr.Net.newState(true), gs: tr.Net.newGradState()})
 	}
 	if len(tr.losses) < tr.Workers {
 		tr.losses = make([]float64, tr.Workers)
 	}
+}
+
+// Release drops the trainer's per-worker forward and gradient scratch; the
+// next Epoch allocates it again. Weights and momentum velocities stay. The
+// scratch carries nothing from one step to the next (every buffer is
+// overwritten or zeroed before it is read), so training resumed after a
+// Release is bit-identical to training that never paused.
+func (tr *Trainer) Release() {
+	tr.bufs = nil
 }
 
 // Epoch runs one pass over the dataset in shuffled minibatches and returns
@@ -370,7 +375,7 @@ func Accuracy(n *Network, xs [][]float32, ys []int, k int) float64 {
 	}
 	hits := make([]int, workers)
 	tensor.Parallel(workers, func(w int) {
-		st := n.newState()
+		st := n.newState(false)
 		// Per-worker top-k scratch: the ranking loop evaluates thousands of
 		// samples and must not allocate per sample.
 		idxBuf := make([]int, 0, k)

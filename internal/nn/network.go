@@ -152,16 +152,20 @@ type state struct {
 	actOut  [][]float32 // post-ReLU (aliases convOut when no ReLU)
 	out     [][]float32 // layer output (post-pool)
 	argmax  [][]int     // maxpool selections
-	cols    []float32   // shared im2col scratch (sized for the largest layer)
+	cols    [][]float32 // conv layers' im2col expansion of their input
 }
 
-// newState allocates forward state for the network.
-func (n *Network) newState() *state {
+// newState allocates forward state for the network. A training state
+// (train set) gives every conv layer its own im2col buffer, so backward
+// reuses the columns the forward pass built; an inference state slices
+// every layer's columns from one shared buffer sized for the largest layer.
+func (n *Network) newState(train bool) *state {
 	st := &state{
 		convOut: make([][]float32, len(n.Specs)),
 		actOut:  make([][]float32, len(n.Specs)),
 		out:     make([][]float32, len(n.Specs)),
 		argmax:  make([][]int, len(n.Specs)),
+		cols:    make([][]float32, len(n.Specs)),
 	}
 	maxCols := 0
 	for i := range n.Specs {
@@ -180,9 +184,11 @@ func (n *Network) newState() *state {
 			} else {
 				st.out[i] = st.convOut[i]
 			}
-			if k := in.C * spec.F * spec.F * c.H * c.W; k > maxCols {
-				maxCols = k
+			k := n.colsLen(i)
+			if train {
+				st.cols[i] = make([]float32, k)
 			}
+			maxCols = max(maxCols, k)
 		case KindFC:
 			st.convOut[i] = make([]float32, spec.OutC)
 			st.actOut[i] = st.convOut[i]
@@ -191,8 +197,24 @@ func (n *Network) newState() *state {
 			st.out[i] = make([]float32, n.Shapes[i].Len())
 		}
 	}
-	st.cols = make([]float32, maxCols)
+	if !train {
+		shared := make([]float32, maxCols)
+		for i := range n.Specs {
+			if n.Specs[i].Kind == KindConv {
+				st.cols[i] = shared[:n.colsLen(i)]
+			}
+		}
+	}
 	return st
+}
+
+// colsLen returns the im2col buffer length of conv layer i:
+// InC·F·F × (conv-stage OH·OW).
+func (n *Network) colsLen(i int) int {
+	spec := &n.Specs[i]
+	in := n.InShapes[i][0]
+	c := spec.ConvOut(in)
+	return in.C * spec.F * spec.F * c.H * c.W
 }
 
 // input returns the activation buffer feeding input j of layer i.
@@ -213,7 +235,7 @@ func (n *Network) forward(st *state, x []float32) []float32 {
 		case KindConv:
 			in := n.InShapes[i][0]
 			conv := tensor.Conv2D{InC: in.C, OutC: spec.OutC, F: spec.F, S: spec.S, P: spec.P}
-			conv.Forward(st.input(n, i, 0, x), in.H, in.W, n.Params[i].W.Data, n.Params[i].B.Data, st.convOut[i], st.cols)
+			conv.Forward(st.input(n, i, 0, x), in.H, in.W, n.Params[i].W.Data, n.Params[i].B.Data, st.convOut[i], st.cols[i])
 			if spec.ReLU {
 				tensor.ReLUForward(st.convOut[i], st.actOut[i])
 			}
@@ -259,7 +281,7 @@ func (n *Network) Infer(x []float32) []float32 {
 	if len(x) != n.Input.Len() {
 		panic(fmt.Sprintf("nn: input has %d elements, network %s expects %v", len(x), n.Name, n.Input))
 	}
-	st := n.newState()
+	st := n.newState(false)
 	out := n.forward(st, x)
 	res := make([]float32, len(out))
 	copy(res, out)

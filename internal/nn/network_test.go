@@ -196,7 +196,7 @@ func TestBackwardNumericalDAG(t *testing.T) {
 		return tensor.SoftmaxCrossEntropy(out, label, d)
 	}
 
-	st := n.newState()
+	st := n.newState(true)
 	gs := n.newGradState()
 	gs.zeroGrads()
 	out := n.forward(st, x)

@@ -46,7 +46,7 @@ func QuantizeNetwork(n *Network, calib [][]float32) (*QuantNetwork, error) {
 	// Calibrate: track max |activation| per layer and at the input.
 	var inMax float32
 	actMax := make([]float32, len(n.Specs))
-	st := n.newState()
+	st := n.newState(false)
 	for _, x := range calib {
 		for _, v := range x {
 			if a := abs32(v); a > inMax {

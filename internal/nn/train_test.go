@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -142,5 +143,54 @@ func TestClipNormBoundsUpdates(t *testing.T) {
 	}
 	if diverged(0.5) {
 		t.Fatal("clipped training diverged")
+	}
+}
+
+// TestTrainerReleaseResumesBitIdentical pins Release's contract: training k
+// epochs, releasing the per-worker scratch and training m more gives the
+// same weights and momentum velocities, bit for bit, as k+m epochs without
+// a pause. Two workers shard each batch, as in candidate ranking.
+func TestTrainerReleaseResumesBitIdentical(t *testing.T) {
+	ds := dataset.Synthetic(4, 6, 3, 32, 32, 5)
+	train := func(release bool) *Trainer {
+		n := convNetCandidate()
+		n.InitWeights(1)
+		tr := NewTrainer(n)
+		tr.Workers = 2
+		tr.BatchSize = 8
+		tr.LR = 0.1
+		tr.ClipNorm = 1.0
+		rng := rand.New(rand.NewSource(7))
+		for e := 0; e < 2; e++ {
+			tr.Epoch(ds.X, ds.Y, rng)
+		}
+		if release {
+			tr.Release()
+			if tr.bufs != nil {
+				t.Fatal("Release kept the per-worker scratch")
+			}
+		}
+		for e := 0; e < 3; e++ {
+			tr.Epoch(ds.X, ds.Y, rng)
+		}
+		return tr
+	}
+	want, got := train(false), train(true)
+	same := func(what string, i int, a, b []float32) {
+		for j := range a {
+			if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+				t.Fatalf("layer %d %s[%d]: %v after Release, %v without", i, what, j, b[j], a[j])
+			}
+		}
+	}
+	for i, p := range want.Net.Params {
+		if p == nil {
+			continue
+		}
+		q := got.Net.Params[i]
+		same("W", i, p.W.Data, q.W.Data)
+		same("B", i, p.B.Data, q.B.Data)
+		same("velW", i, want.velW[i], got.velW[i])
+		same("velB", i, want.velB[i], got.velB[i])
 	}
 }

@@ -41,34 +41,43 @@ func (c Conv2D) OutDims(h, w int) (oh, ow int) {
 // Im2col expands an input image (InC×H×W, flat) into a column matrix of
 // shape (InC·F·F) × (OH·OW) so convolution becomes a single GEMM. cols must
 // have capacity InC·F·F·OH·OW.
+//
+// Each (ch, ky, kx) row is written in runs: output rows whose input row lies
+// in the padding are cleared in one piece (the whole row when every input
+// column does), and every other output row is a zero prefix, an in-bounds
+// run (a copy at stride 1, a strided gather otherwise) and a zero suffix.
 func (c Conv2D) Im2col(in []float32, h, w int, cols []float32) (oh, ow int) {
 	oh, ow = c.OutDims(h, w)
 	rowLen := oh * ow
+	if rowLen == 0 {
+		return oh, ow
+	}
 	for ch := 0; ch < c.InC; ch++ {
-		chBase := ch * h * w
+		plane := in[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < c.F; ky++ {
+			ylo, yhi := c.span(ky, h, oh)
 			for kx := 0; kx < c.F; kx++ {
+				xlo, xhi := c.span(kx, w, ow)
 				r := (ch*c.F+ky)*c.F + kx
 				dst := cols[r*rowLen : (r+1)*rowLen]
-				di := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.S - c.P + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[di] = 0
-							di++
-						}
+				if xlo == xhi { // every column of the window is padding
+					clear(dst)
+					continue
+				}
+				clear(dst[:ylo*ow])
+				clear(dst[yhi*ow:])
+				for oy := ylo; oy < yhi; oy++ {
+					row := dst[oy*ow : (oy+1)*ow]
+					clear(row[:xlo])
+					clear(row[xhi:])
+					run := row[xlo:xhi]
+					src := plane[(oy*c.S-c.P+ky)*w+xlo*c.S-c.P+kx:]
+					if c.S == 1 {
+						copy(run, src)
 						continue
 					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.S - c.P + kx
-						if ix < 0 || ix >= w {
-							dst[di] = 0
-						} else {
-							dst[di] = in[rowBase+ix]
-						}
-						di++
+					for j := range run {
+						run[j] = src[j*c.S]
 					}
 				}
 			}
@@ -79,36 +88,59 @@ func (c Conv2D) Im2col(in []float32, h, w int, cols []float32) (oh, ow int) {
 
 // Col2im scatters a column-matrix gradient back onto an input-shaped
 // gradient buffer, accumulating where kernel windows overlap. It is the
-// adjoint of Im2col. dIn must be pre-zeroed by the caller if accumulation
-// from scratch is desired.
+// adjoint of Im2col and walks the same in-bounds runs; padding positions are
+// skipped. Additions into each dIn element happen in (ch, ky, kx, oy, ox)
+// order. dIn must be pre-zeroed by the caller if accumulation from scratch
+// is desired.
 func (c Conv2D) Col2im(cols []float32, h, w int, dIn []float32) {
 	oh, ow := c.OutDims(h, w)
 	rowLen := oh * ow
+	if rowLen == 0 {
+		return
+	}
 	for ch := 0; ch < c.InC; ch++ {
-		chBase := ch * h * w
+		plane := dIn[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < c.F; ky++ {
+			ylo, yhi := c.span(ky, h, oh)
 			for kx := 0; kx < c.F; kx++ {
+				xlo, xhi := c.span(kx, w, ow)
+				if xlo == xhi {
+					continue
+				}
 				r := (ch*c.F+ky)*c.F + kx
 				src := cols[r*rowLen : (r+1)*rowLen]
-				si := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.S - c.P + ky
-					if iy < 0 || iy >= h {
-						si += ow
+				for oy := ylo; oy < yhi; oy++ {
+					run := src[oy*ow+xlo : oy*ow+xhi]
+					dst := plane[(oy*c.S-c.P+ky)*w+xlo*c.S-c.P+kx:]
+					if c.S == 1 {
+						dst = dst[:len(run)]
+						for j, v := range run {
+							dst[j] += v
+						}
 						continue
 					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.S - c.P + kx
-						if ix >= 0 && ix < w {
-							dIn[rowBase+ix] += src[si]
-						}
-						si++
+					for j, v := range run {
+						dst[j*c.S] += v
 					}
 				}
 			}
 		}
 	}
+}
+
+// span returns the half-open range [lo, hi) of output positions along one
+// axis (extent out) whose input coordinate o·S − P + k lies inside [0, n).
+// An empty range comes back as lo == hi ≤ out.
+func (c Conv2D) span(k, n, out int) (lo, hi int) {
+	if d := c.P - k; d > 0 {
+		lo = (d + c.S - 1) / c.S
+	}
+	if m := n - 1 + c.P - k; m >= 0 {
+		hi = m/c.S + 1
+	}
+	hi = min(hi, out)
+	lo = min(lo, hi)
+	return lo, hi
 }
 
 // Forward computes the convolution of a single image in (InC×H×W) with
@@ -137,19 +169,16 @@ func (c Conv2D) Forward(in []float32, h, w int, weights, bias, out, cols []float
 }
 
 // Backward computes gradients for a single image given upstream gradient
-// dOut (OutC×OH×OW). It accumulates into dWeights (OutC × InC·F·F) and dBias
-// (OutC), and writes the input gradient into dIn (InC×H×W, overwritten).
-// Passing nil for dIn skips input-gradient computation (first layer).
-// cols must hold the Im2col expansion of the forward input (recomputed here
-// from in), and colsGrad is scratch of the same size; pass nil to allocate.
-func (c Conv2D) Backward(in []float32, h, w int, weights, dOut, dWeights, dBias, dIn, cols, colsGrad []float32) {
+// dOut (OutC×OH×OW) and cols, the Im2col expansion of the forward input
+// (what Forward left in its cols scratch). It accumulates into dWeights
+// (OutC × InC·F·F) and dBias (OutC), and writes the input gradient into dIn
+// (InC×H×W, overwritten). Passing nil for dIn skips input-gradient
+// computation (first layer). colsGrad is scratch of the same size as cols;
+// pass nil to allocate.
+func (c Conv2D) Backward(cols []float32, h, w int, weights, dOut, dWeights, dBias, dIn, colsGrad []float32) {
 	oh, ow := c.OutDims(h, w)
 	k := c.InC * c.F * c.F
 	n := oh * ow
-	if cols == nil {
-		cols = make([]float32, k*n)
-	}
-	c.Im2col(in, h, w, cols)
 
 	// dW += dOut · colsᵀ  (OutC×n)·(n×k)
 	GemmTransBAcc(dOut, cols, dWeights, c.OutC, n, k)
@@ -170,9 +199,7 @@ func (c Conv2D) Backward(in []float32, h, w int, weights, dOut, dWeights, dBias,
 		}
 		// dcols = Wᵀ · dOut  (k×OutC)·(OutC×n)
 		GemmTransA(weights, dOut, colsGrad, k, c.OutC, n)
-		for i := range dIn[:c.InC*h*w] {
-			dIn[i] = 0
-		}
+		clear(dIn[:c.InC*h*w])
 		c.Col2im(colsGrad, h, w, dIn)
 	}
 }

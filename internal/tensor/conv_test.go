@@ -184,7 +184,9 @@ func TestConvBackwardNumerical(t *testing.T) {
 	dW := make([]float32, nw)
 	dB := make([]float32, c.OutC)
 	dIn := make([]float32, c.InC*h*w)
-	c.Backward(in, h, w, weights, dOut, dW, dB, dIn, nil, nil)
+	cols := make([]float32, c.InC*c.F*c.F*oh*ow)
+	c.Im2col(in, h, w, cols)
+	c.Backward(cols, h, w, weights, dOut, dW, dB, dIn, nil)
 
 	const eps = 1e-2
 	check := func(buf []float32, grad []float32, name string, samples int) {
@@ -237,4 +239,143 @@ func TestQuickConvLinearity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// naiveIm2col is the per-element reference expansion: every column entry
+// is tested against the input bounds on its own.
+func naiveIm2col(c Conv2D, in []float32, h, w int) []float32 {
+	oh, ow := c.OutDims(h, w)
+	cols := make([]float32, c.InC*c.F*c.F*oh*ow)
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.F; ky++ {
+			for kx := 0; kx < c.F; kx++ {
+				r := (ch*c.F+ky)*c.F + kx
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy, ix := oy*c.S-c.P+ky, ox*c.S-c.P+kx
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							cols[(r*oh+oy)*ow+ox] = in[(ch*h+iy)*w+ix]
+						}
+					}
+				}
+			}
+		}
+	}
+	return cols
+}
+
+// naiveCol2im is the per-element reference scatter, accumulating in
+// (ch, ky, kx, oy, ox) order.
+func naiveCol2im(c Conv2D, cols []float32, h, w int, dIn []float32) {
+	oh, ow := c.OutDims(h, w)
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.F; ky++ {
+			for kx := 0; kx < c.F; kx++ {
+				r := (ch*c.F+ky)*c.F + kx
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy, ix := oy*c.S-c.P+ky, ox*c.S-c.P+kx
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							dIn[(ch*h+iy)*w+ix] += cols[(r*oh+oy)*ow+ox]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkIm2colCol2im compares Im2col and Col2im bit for bit against the
+// naive references on exactly sized buffers, so any out-of-range run
+// panics. Im2col's output starts as NaN to prove every entry is written,
+// and Col2im accumulates onto a random dIn to prove the addition order.
+func checkIm2colCol2im(t *testing.T, c Conv2D, h, w int, rng *rand.Rand) {
+	t.Helper()
+	oh, ow := c.OutDims(h, w)
+	k := c.InC * c.F * c.F
+	in := randSlice(rng, c.InC*h*w)
+	cols := make([]float32, k*oh*ow)
+	for i := range cols {
+		cols[i] = float32(math.NaN())
+	}
+	if goh, gow := c.Im2col(in, h, w, cols); goh != oh || gow != ow {
+		t.Fatalf("%+v on %dx%d: Im2col returned %dx%d, want %dx%d", c, h, w, goh, gow, oh, ow)
+	}
+	want := naiveIm2col(c, in, h, w)
+	for i := range want {
+		if math.Float32bits(cols[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%+v on %dx%d: Im2col[%d] = %v, want %v", c, h, w, i, cols[i], want[i])
+		}
+	}
+
+	grad := randSlice(rng, k*oh*ow)
+	got := randSlice(rng, c.InC*h*w)
+	ref := append([]float32(nil), got...)
+	c.Col2im(grad, h, w, got)
+	naiveCol2im(c, grad, h, w, ref)
+	for i := range ref {
+		if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
+			t.Fatalf("%+v on %dx%d: Col2im[%d] = %v, want %v", c, h, w, i, got[i], ref[i])
+		}
+	}
+}
+
+// TestIm2colCol2imMatchNaive is the differential test of the run-based
+// expansion and scatter: random channel counts, strides 1–4, padding 0–3
+// and kernels up to wider than the input, including windows whose whole
+// row (or whole column range) lies in the padding.
+func TestIm2colCol2imMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	fixed := []struct {
+		c    Conv2D
+		h, w int
+	}{
+		{Conv2D{InC: 1, F: 5, S: 1, P: 3}, 1, 1},    // every run empty for the outer kx/ky
+		{Conv2D{InC: 2, F: 1, S: 2, P: 3}, 2, 3},    // rows and columns purely in padding
+		{Conv2D{InC: 1, F: 8, S: 4, P: 3}, 3, 2},    // kernel wider than the input
+		{Conv2D{InC: 3, F: 11, S: 4, P: 1}, 31, 31}, // AlexNet conv1 kernel, stride, padding
+		{Conv2D{InC: 2, F: 1, S: 1, P: 0}, 5, 7},    // 1×1: every run is the whole row
+		{Conv2D{InC: 1, F: 3, S: 3, P: 2}, 4, 4},
+	}
+	for _, tc := range fixed {
+		checkIm2colCol2im(t, tc.c, tc.h, tc.w, rng)
+	}
+	for n := 0; n < 400; n++ {
+		c := Conv2D{InC: 1 + rng.Intn(3), OutC: 1, S: 1 + rng.Intn(4), P: rng.Intn(4)}
+		h, w := 1+rng.Intn(12), 1+rng.Intn(12)
+		c.F = 1 + rng.Intn(max(h, w)+2*c.P+2)
+		checkIm2colCol2im(t, c, h, w, rng)
+	}
+}
+
+// FuzzIm2colCol2im drives the differential check with arbitrary geometry,
+// bounded to small planes so each input runs in microseconds.
+func FuzzIm2colCol2im(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(5), uint8(1), uint8(3), int64(1))
+	f.Add(uint8(3), uint8(31), uint8(31), uint8(11), uint8(4), uint8(1), int64(2))
+	f.Add(uint8(2), uint8(2), uint8(3), uint8(1), uint8(2), uint8(3), int64(3))
+	f.Fuzz(func(t *testing.T, inC, h, w, fw, s, p uint8, seed int64) {
+		c := Conv2D{InC: 1 + int(inC%4), OutC: 1, F: 1 + int(fw%24), S: 1 + int(s%4), P: int(p % 4)}
+		checkIm2colCol2im(t, c, 1+int(h%20), 1+int(w%20), rand.New(rand.NewSource(seed)))
+	})
+}
+
+// benchIm2col times one expansion of a real network layer's input.
+func benchIm2col(b *testing.B, c Conv2D, h, w int) {
+	in := randSlice(rand.New(rand.NewSource(1)), c.InC*h*w)
+	oh, ow := c.OutDims(h, w)
+	cols := make([]float32, c.InC*c.F*c.F*oh*ow)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(cols)) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Im2col(in, h, w, cols)
+	}
+}
+
+func BenchmarkIm2col(b *testing.B) {
+	b.Run("AlexNetConv1", func(b *testing.B) { benchIm2col(b, Conv2D{InC: 3, F: 11, S: 4, P: 1}, 227, 227) })
+	b.Run("AlexNetConv2", func(b *testing.B) { benchIm2col(b, Conv2D{InC: 96, F: 5, S: 1, P: 2}, 27, 27) })
+	b.Run("LeNetConv1", func(b *testing.B) { benchIm2col(b, Conv2D{InC: 1, F: 5, S: 1, P: 2}, 28, 28) })
+	b.Run("SqueezeNetFire2Squeeze1x1", func(b *testing.B) { benchIm2col(b, Conv2D{InC: 96, F: 1, S: 1}, 55, 55) })
 }
