@@ -171,33 +171,15 @@ func RunWeightAttack(net *Network, cfg AccelConfig) (*WeightReport, error) {
 	return core.RunWeightAttack(net, cfg)
 }
 
-// RunStructureAttackCtx is RunStructureAttack with cooperative
-// cancellation: on context expiry it returns the partial report found so
-// far (Partial set, structures a deterministic prefix of the full
-// enumeration) alongside the context error. cmd/revcnnd serves this.
-func RunStructureAttackCtx(ctx context.Context, net *Network, cfg AccelConfig, opt SolverOptions, seed int64) (*StructureReport, error) {
-	return core.RunStructureAttackCtx(ctx, net, cfg, opt, seed, nil)
-}
-
-// RankCandidatesCtx is RankCandidates with cooperative cancellation at
-// candidate and epoch granularity; cancelled candidates carry a NaN
-// accuracy and the context error, sorted after every real score.
-func RankCandidatesCtx(ctx context.Context, rep *StructureReport, input Shape, rc RankConfig) []CandidateScore {
-	return core.RankCandidatesCtx(ctx, rep, input, rc)
-}
-
-// RankCandidatesResult is RankCandidatesCtx returning the full RankResult:
-// scores plus the rung schedule, total epoch work, and how many candidates
-// a MaxCandidates cap skipped. With RankConfig.Halving set it runs the
-// successive-halving tournament instead of the flat schedule.
+// RankCandidatesResult is RankCandidates with cooperative cancellation at
+// candidate and epoch granularity (cancelled candidates carry a NaN
+// accuracy and the context error, sorted after every real score),
+// returning the full RankResult: scores plus the rung schedule, total epoch
+// work, and how many candidates a MaxCandidates cap skipped. With
+// RankConfig.Halving set it runs the successive-halving tournament instead
+// of the flat schedule.
 func RankCandidatesResult(ctx context.Context, rep *StructureReport, input Shape, rc RankConfig) *RankResult {
 	return core.RankCandidatesResult(ctx, rep, input, rc)
-}
-
-// RunWeightAttackCtx is RunWeightAttack with cooperative cancellation at
-// per-weight granularity.
-func RunWeightAttackCtx(ctx context.Context, net *Network, cfg AccelConfig) (*WeightReport, error) {
-	return core.RunWeightAttackCtx(ctx, net, cfg)
 }
 
 // RunStructureAttackOnTrace reverse engineers candidate structures directly
@@ -283,10 +265,13 @@ func DefendTrace(tr *Trace, cfg DefenseConfig) (*Trace, DefenseStats, error) {
 	return defense.Apply(tr, cfg)
 }
 
-// RunStructureAttackSpec is RunStructureAttackCtx with the hostile-probe
-// and defense spec: the captured trace passes through spec.Defense (the
-// victim's countermeasure) and then spec.Corrupt (the probe's noise)
-// before analysis.
+// RunStructureAttackSpec is RunStructureAttack with cooperative
+// cancellation and the hostile-probe and defense spec: the captured trace
+// passes through spec.Defense (the victim's countermeasure) and then
+// spec.Corrupt (the probe's noise) before analysis. On context expiry it
+// returns the partial report found so far (Partial set, structures a
+// deterministic prefix of the full enumeration) alongside the context
+// error.
 func RunStructureAttackSpec(ctx context.Context, net *Network, cfg AccelConfig, opt SolverOptions, seed int64, spec StructureAttackSpec) (*StructureReport, error) {
 	return core.RunStructureAttackSpec(ctx, net, cfg, opt, seed, spec, nil)
 }

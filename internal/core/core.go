@@ -17,6 +17,7 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/corrupt"
 	"cnnrev/internal/defense"
+	"cnnrev/internal/memtrace"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/structrev"
 	"cnnrev/internal/weightrev"
@@ -118,28 +119,18 @@ func isCtxErr(err error) bool {
 
 // RunStructureAttack captures a trace of net and runs the full §3 pipeline.
 func RunStructureAttack(net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64) (*StructureReport, error) {
-	return RunStructureAttackCtx(context.Background(), net, cfg, opt, seed, nil)
+	return RunStructureAttackSpec(context.Background(), net, cfg, opt, seed, StructureAttackSpec{}, nil)
 }
 
-// RunStructureAttackCtx is RunStructureAttack with cooperative cancellation
-// and optional stage observation. If ctx expires during the candidate
-// enumeration, the returned report carries the structures found so far with
-// Partial set, alongside ctx's error; cancellation before the solve stage
-// returns a nil report.
-func RunStructureAttackCtx(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, onStage StageFunc) (*StructureReport, error) {
-	return RunStructureAttackSpec(ctx, net, cfg, opt, seed, StructureAttackSpec{}, onStage)
-}
-
-// RunStructureAttackSpec is RunStructureAttackCtx with the hostile-probe
-// spec: the captured trace is degraded by spec.Corrupt (its own "corrupt"
-// stage) and analyzed tolerantly when corruption is enabled or spec.Tolerant
-// is set.
+// RunStructureAttackSpec is RunStructureAttack with cooperative
+// cancellation, the hostile-probe and defense spec, and optional stage
+// observation: it captures net's trace (stage "capture") and hands it to
+// AttackTrace with what the adversary knows of the victim, then scores the
+// candidates against the victim's true structure. If ctx expires during the
+// candidate enumeration, the returned report carries the structures found
+// so far with Partial set, alongside ctx's error; cancellation before the
+// solve stage returns a nil report.
 func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
-	stage := func(name string, t0 time.Time) {
-		if onStage != nil {
-			onStage(name, time.Since(t0))
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -148,15 +139,37 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 	if err != nil {
 		return nil, err
 	}
-	stage("capture", t0)
+	if onStage != nil {
+		onStage("capture", time.Since(t0))
+	}
+	rep, err := AttackTrace(ctx, cap.Result.Trace, net.Input, net.NumClasses(), cap.Sim.Config().ElemBytes, cfg.Dataflow, opt, spec, onStage)
+	if rep != nil {
+		rep.TruthIndex = FindTruth(rep.Structures, GroundTruthConfigs(net))
+	}
+	return rep, err
+}
+
+// AttackTrace runs the post-capture half of the §3 pipeline on an observed
+// trace, each stage reported to onStage: spec.Defense ("defense"), then
+// spec.Corrupt ("corrupt"), then the strict or tolerant analysis
+// ("analyze"), dataflow detection ("detect") and the solve ("solve").
+// input and classes are what the adversary knows of the victim, elemBytes
+// its element size, and dataflow the declared scheduling reported back as
+// rep.Dataflow. TruthIndex is -1: a trace alone carries no ground truth.
+// Cancellation behaves as in RunStructureAttackSpec.
+func AttackTrace(ctx context.Context, trace *memtrace.Trace, input nn.Shape, classes, elemBytes int, dataflow accel.Dataflow, opt structrev.Options, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
+	stage := func(name string, t0 time.Time) {
+		if onStage != nil {
+			onStage(name, time.Since(t0))
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	trace := cap.Result.Trace
 	var defStats defense.Stats
 	defended := spec.Defense.Enabled()
 	if defended {
-		t0 = time.Now()
+		t0 := time.Now()
 		var derr error
 		trace, defStats, derr = defense.Apply(trace, spec.Defense)
 		if derr != nil {
@@ -169,18 +182,18 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 	}
 	corrupted := spec.Corrupt.Enabled()
 	if corrupted {
-		t0 = time.Now()
+		t0 := time.Now()
 		trace = corrupt.Apply(trace, spec.Corrupt)
 		stage("corrupt", t0)
 	}
 	tolerant := spec.Tolerant || corrupted
-	elem := cap.Sim.Config().ElemBytes
-	t0 = time.Now()
+	t0 := time.Now()
 	var a *structrev.Analysis
+	var err error
 	if tolerant {
-		a, err = structrev.AnalyzeTolerant(trace, net.Input.Len()*elem, elem, spec.TolerantOpt)
+		a, err = structrev.AnalyzeTolerant(trace, input.Len()*elemBytes, elemBytes, spec.TolerantOpt)
 	} else {
-		a, err = structrev.Analyze(trace, net.Input.Len()*elem, elem)
+		a, err = structrev.Analyze(trace, input.Len()*elemBytes, elemBytes)
 	}
 	if err != nil {
 		return nil, err
@@ -190,7 +203,7 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 	detected := structrev.DetectDataflow(trace, a, structrev.DetectOptions{})
 	stage("detect", t0)
 	t0 = time.Now()
-	structures, serr := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
+	structures, serr := structrev.SolveCtx(ctx, a, input.W, input.C, classes, opt)
 	stage("solve", t0)
 	if serr != nil && !isCtxErr(serr) {
 		return nil, serr
@@ -206,14 +219,13 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 		Tolerant:   tolerant,
 		Noise:      a.Noise,
 
-		Dataflow:         cfg.Dataflow.String(),
+		Dataflow:         dataflow.String(),
 		DetectedDataflow: detected.Class.String(),
 	}
 	if defended {
 		rep.Defense = spec.Defense.Kind
 		rep.DefenseStats = defStats
 	}
-	rep.TruthIndex = FindTruth(structures, GroundTruthConfigs(net))
 	return rep, serr
 }
 
@@ -420,18 +432,13 @@ type WeightAttackConfig struct {
 // (which must be an unpooled, unpadded conv layer) through the zero-pruning
 // side channel, and scores the recovery against the true parameters.
 func RunWeightAttack(net *nn.Network, cfg accel.Config) (*WeightReport, error) {
-	return RunWeightAttackCtx(context.Background(), net, cfg)
+	return RunWeightAttackOpts(context.Background(), net, cfg, WeightAttackConfig{})
 }
 
-// RunWeightAttackCtx is RunWeightAttack with cooperative cancellation: each
-// parallel per-filter recovery checks ctx between individual weight
-// searches, so a cancelled attack releases the worker pool within one
-// binary-search (single-weight) boundary.
-func RunWeightAttackCtx(ctx context.Context, net *nn.Network, cfg accel.Config) (*WeightReport, error) {
-	return RunWeightAttackOpts(ctx, net, cfg, WeightAttackConfig{})
-}
-
-// RunWeightAttackOpts is RunWeightAttackCtx with attack tuning options.
+// RunWeightAttackOpts is RunWeightAttack with cooperative cancellation and
+// attack tuning options: each parallel per-filter recovery checks ctx
+// between individual weight searches, so a cancelled attack releases the
+// worker pool within one binary-search (single-weight) boundary.
 func RunWeightAttackOpts(ctx context.Context, net *nn.Network, cfg accel.Config, opts WeightAttackConfig) (*WeightReport, error) {
 	oracle, err := weightrev.NewFastOracle(net, cfg, 0)
 	if err != nil {

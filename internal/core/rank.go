@@ -11,27 +11,29 @@ import (
 	"cnnrev/internal/tensor"
 )
 
-// RankConfig parameterizes candidate ranking (Figures 4 and 5).
+// RankConfig parameterizes candidate ranking (Figures 4 and 5). The JSON
+// names are revcnnd's "rank" request object; fields tagged "-" are
+// library-only.
 type RankConfig struct {
-	Classes   int
-	PerClass  int // training samples per class (plus PerClass/3 test)
-	Epochs    int
-	DepthDiv  int
-	TopK      int // accuracy metric: top-K
-	Seed      int64
-	LR        float32
-	BatchSize int
+	Classes   int     `json:"classes"`
+	PerClass  int     `json:"per_class"` // training samples per class (plus PerClass/3 test)
+	Epochs    int     `json:"epochs"`
+	DepthDiv  int     `json:"depth_div"`
+	TopK      int     `json:"top_k"` // accuracy metric: top-K
+	Seed      int64   `json:"seed"`
+	LR        float32 `json:"-"`
+	BatchSize int     `json:"-"`
 	// MaxCandidates caps how many structures are trained (0 = all). When the
 	// cap truncates the candidate list, the trained scores are a
 	// deterministic prefix (candidate-index order) of the full ranking and
 	// RankResult.Skipped records how many candidates were never trained —
 	// the same truncated-prefix contract ErrTooManyStructures gives the
 	// solver stage.
-	MaxCandidates int
+	MaxCandidates int `json:"max_candidates"`
 	// Serial forces the candidates to be trained one after another on the
 	// calling goroutine — the reference schedule the determinism regression
 	// tests compare the default parallel ranking against.
-	Serial bool
+	Serial bool `json:"-"`
 
 	// Halving replaces the flat train-everyone-to-completion loop with a
 	// successive-halving tournament: every candidate trains for a small
@@ -41,12 +43,12 @@ type RankConfig struct {
 	// until the budget reaches Epochs. The zero value (and Eta <= 1, and
 	// MinEpochs >= Epochs) selects the flat path, so existing callers and
 	// golden tests are untouched.
-	Halving bool
+	Halving bool `json:"halving"`
 	// Eta is the tournament elimination factor (default 2). Eta <= 1
 	// degenerates to the flat schedule: one rung at the full epoch budget.
-	Eta int
+	Eta int `json:"eta"`
 	// MinEpochs is the first-rung per-candidate epoch budget (default 1).
-	MinEpochs int
+	MinEpochs int `json:"min_epochs"`
 
 	// Runner, when non-nil (and Serial is unset), schedules each rung's
 	// independent candidate trainings instead of tensor.Parallel — the hook
@@ -54,7 +56,7 @@ type RankConfig struct {
 	// determinism contract requires only that Runner invoke fn exactly once
 	// for every i in [0,n), in any order, and return after all calls finish;
 	// candidate state isolation makes the result schedule-independent.
-	Runner func(n int, fn func(i int))
+	Runner func(n int, fn func(i int)) `json:"-"`
 }
 
 // CandidateScore is one ranked candidate structure.
@@ -130,24 +132,20 @@ type candState struct {
 // and channel count follow the victim; depth scaling substitutes for the
 // paper's full-scale ImageNet training (see DESIGN.md §2).
 func RankCandidates(rep *StructureReport, input nn.Shape, rc RankConfig) []CandidateScore {
-	return RankCandidatesCtx(context.Background(), rep, input, rc)
+	return RankCandidatesResult(context.Background(), rep, input, rc).Scores
 }
 
-// RankCandidatesCtx is RankCandidates with cooperative cancellation at
-// candidate and epoch granularity: a cancelled ranking abandons untrained
-// candidates (and unfinished epochs) and marks their scores with ctx's
-// error and a NaN accuracy, which sorts them after every real score. The
-// per-candidate RNG and shard-state isolation means a cancelled run leaves
-// no residue — a subsequent rank over the same report is bit-identical to
-// one that was never preceded by a cancellation.
-func RankCandidatesCtx(ctx context.Context, rep *StructureReport, input nn.Shape, rc RankConfig) []CandidateScore {
-	return RankCandidatesResult(ctx, rep, input, rc).Scores
-}
-
-// RankCandidatesResult is RankCandidatesCtx returning the full RankResult:
-// scores plus skip/rung/epoch accounting. When rc.Halving is set it runs
-// the successive-halving tournament; otherwise the flat schedule (a single
-// rung at the full budget).
+// RankCandidatesResult is RankCandidates with cooperative cancellation,
+// returning the full RankResult: scores plus skip/rung/epoch accounting.
+// When rc.Halving is set it runs the successive-halving tournament;
+// otherwise the flat schedule (a single rung at the full budget).
+//
+// Cancellation works at candidate and epoch granularity: a cancelled
+// ranking abandons untrained candidates (and unfinished epochs) and marks
+// their scores with ctx's error and a NaN accuracy, which sorts them after
+// every real score. The per-candidate RNG and shard-state isolation means a
+// cancelled run leaves no residue — a subsequent rank over the same report
+// is bit-identical to one that was never preceded by a cancellation.
 //
 // Determinism contract, either schedule: candidate weights are seeded per
 // candidate (Seed+i), each candidate owns a private epoch-shuffle RNG, and

@@ -81,7 +81,7 @@ func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 	}
 	sawCancelled := false
 	for _, k := range checkpoints {
-		cancelled := RankCandidatesCtx(cancelAfter(k), rep, net.Input, rc)
+		cancelled := RankCandidatesResult(cancelAfter(k), rep, net.Input, rc).Scores
 		for _, sc := range cancelled {
 			if sc.Err != nil {
 				sawCancelled = true
@@ -91,7 +91,7 @@ func TestRankCandidatesCancelledRunLeavesPoolClean(t *testing.T) {
 			}
 		}
 		// rank → cancel → rank: the follow-up run must be pristine.
-		after := RankCandidatesCtx(context.Background(), rep, net.Input, rc)
+		after := RankCandidatesResult(context.Background(), rep, net.Input, rc).Scores
 		sameScores(t, "post-cancel parallel rank vs serial reference", after, ref)
 	}
 	if !sawCancelled {
@@ -118,7 +118,7 @@ func TestRunStructureAttackCtxPartialPrefix(t *testing.T) {
 	for k := 2; k < 60; k += 7 {
 		net := nn.LeNet(10)
 		net.InitWeights(1)
-		rep, err := RunStructureAttackCtx(cancelAfter(k), net, accel.Config{}, structrev.DefaultOptions(), 2, nil)
+		rep, err := RunStructureAttackSpec(cancelAfter(k), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil)
 		if err == nil {
 			if len(rep.Structures) != len(full.Structures) || rep.Partial {
 				t.Fatalf("k=%d: no error but incomplete report (%d structures, partial=%v)", k, len(rep.Structures), rep.Partial)
@@ -155,7 +155,7 @@ func TestRunStructureAttackCtxPartialPrefix(t *testing.T) {
 	}
 
 	// Already-expired context: refused before any work.
-	if rep, err := RunStructureAttackCtx(cancelAfter(0), net, accel.Config{}, structrev.DefaultOptions(), 2, nil); err == nil || rep != nil {
+	if rep, err := RunStructureAttackSpec(cancelAfter(0), net, accel.Config{}, structrev.DefaultOptions(), 2, StructureAttackSpec{}, nil); err == nil || rep != nil {
 		t.Fatalf("expired context: rep=%v err=%v, want nil/ctx error", rep, err)
 	}
 }

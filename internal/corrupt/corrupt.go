@@ -29,43 +29,44 @@ import (
 )
 
 // Config selects corruption models and their rates. The zero value disables
-// every model: Apply becomes a deep copy.
+// every model: Apply becomes a deep copy. The JSON names are revcnnd's
+// "corrupt" request object.
 type Config struct {
 	// Seed drives the single PRNG behind all enabled models. Equal seeds on
 	// equal inputs corrupt identically.
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// DropRate is the i.i.d. probability in [0,1] that any single burst
 	// record is missed by the probe (undersampling).
-	DropRate float64
+	DropRate float64 `json:"drop_rate"`
 
 	// SplitRate is the probability in [0,1] that a multi-block burst is
 	// observed as two separate transactions, cut at a uniformly random
 	// block boundary.
-	SplitRate float64
+	SplitRate float64 `json:"split_rate"`
 
 	// CoalesceRate is the probability in [0,1] that a pair of adjacent,
 	// contiguous, same-kind records is observed as one coarser transaction
 	// (the inverse of SplitRate: a probe that integrates over longer
 	// windows than the burst engine).
-	CoalesceRate float64
+	CoalesceRate float64 `json:"coalesce_rate"`
 
 	// ReorderWindow bounds memory-controller reordering: each record may
 	// move at most ReorderWindow positions from its true slot. The original
 	// monotonic cycle sequence is reassigned to the shuffled records in
 	// order, modelling a controller that reorders requests but issues them
 	// back-to-back. 0 disables reordering.
-	ReorderWindow int
+	ReorderWindow int `json:"reorder_window"`
 
 	// InterferenceRate injects co-tenant traffic: for each original record
 	// an independent coin with this probability adds one interfering access
 	// at a cycle drawn from the trace's span.
-	InterferenceRate float64
+	InterferenceRate float64 `json:"interference_rate"`
 
 	// InterferenceRegions is the number of disjoint co-tenant address
 	// regions the injected accesses are spread over. Defaults to 2 when
 	// InterferenceRate > 0.
-	InterferenceRegions int
+	InterferenceRegions int `json:"interference_regions"`
 
 	// ProbeGranularityBlocks is the burst length, in blocks, at which the
 	// probe observes the bus. The simulator's recorder coalesces a layer's
@@ -75,7 +76,7 @@ type Config struct {
 	// size, so DropRate drops ~that fraction of *traffic* (not of layers)
 	// and ReorderWindow permutes locally (not across layers). 0 defaults
 	// to 16.
-	ProbeGranularityBlocks int
+	ProbeGranularityBlocks int `json:"probe_granularity_blocks"`
 }
 
 // Enabled reports whether any corruption model is active.

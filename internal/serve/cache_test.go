@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"cnnrev/internal/accel"
+	"cnnrev/internal/core"
 )
 
 // TestResultCacheLRUEviction pins the byte-budget LRU contract: least
@@ -68,59 +68,43 @@ func TestResultCacheReplaceAndOversize(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDistinguishesParams pins the canonicalization: any
-// result-affecting field must change the key, and the same logical request
-// must reproduce it.
+// TestCacheKeyDistinguishesParams walks every leaf field of Request,
+// including the nested defense, corrupt and rank objects, and asserts that
+// perturbing it changes the cache key — except the fields cacheKey clears,
+// which must not. A field added to Request is covered without editing this
+// test.
 func TestCacheKeyDistinguishesParams(t *testing.T) {
-	base := func() *attackRequest {
-		return &attackRequest{
-			mode: "trace", traceHash: "abc", inW: 28, inD: 1, elemBytes: 4,
-			classes: 10, tol: 0.1,
-		}
-	}
+	excluded := map[string]bool{"timeout_ms": true, "cache_bypass": true}
+	base := func() *Request { return &Request{Mode: "trace", Rank: &core.RankConfig{}} }
 	k0 := base().cacheKey()
-	if k0 != base().cacheKey() {
-		t.Fatal("identical requests produced different keys")
-	}
-	mutations := map[string]func(*attackRequest){
-		"trace hash":   func(r *attackRequest) { r.traceHash = "abd" },
-		"inw":          func(r *attackRequest) { r.inW = 32 },
-		"classes":      func(r *attackRequest) { r.classes = 100 },
-		"elem":         func(r *attackRequest) { r.elemBytes = 8 },
-		"modular":      func(r *attackRequest) { r.modular = true },
-		"tolerant":     func(r *attackRequest) { r.tolerant = true },
-		"tol":          func(r *attackRequest) { r.tol = 0.2 },
-		"stride":       func(r *attackRequest) { r.allowStrideOK = true },
-		"max return":   func(r *attackRequest) { r.maxReturn = 5 },
-		"weights":      func(r *attackRequest) { r.weights = true },
-		"corrupt seed": func(r *attackRequest) { r.corrupt.Seed = 9 },
-		"drop rate":    func(r *attackRequest) { r.corrupt.DropRate = 0.01 },
-		"rank present": func(r *attackRequest) { r.rank = &rankParams{} },
-		"rank seed":    func(r *attackRequest) { r.rank = &rankParams{Seed: 3} },
-		"mode":         func(r *attackRequest) { r.mode = "simulate" },
-		"dataflow ws":  func(r *attackRequest) { r.dataflow = accel.WeightStationary },
-		"dataflow rs":  func(r *attackRequest) { r.dataflow = accel.RowStationary },
+	if k0 == "" || k0 != base().cacheKey() {
+		t.Fatalf("identical requests produced keys %q and %q", k0, base().cacheKey())
 	}
 	seen := map[string]string{k0: "base"}
-	for name, mutate := range mutations {
+	leaves := requestLeaves()
+	for _, l := range leaves {
 		r := base()
-		mutate(r)
+		perturb(l.get(r))
 		k := r.cacheKey()
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("mutation %q collides with %q on key %q", name, prev, k)
+		if excluded[l.path] {
+			if k != k0 {
+				t.Errorf("%s leaked into the cache key", l.path)
+			}
+			delete(excluded, l.path)
+			continue
 		}
-		seen[k] = name
+		if prev, dup := seen[k]; dup {
+			t.Errorf("perturbing %s collides with %s on key %s", l.path, prev, k)
+		}
+		seen[k] = l.path
 	}
-	// Simulate mode keys on the resolved seed: 0 and 2 are distinct.
-	s0 := &attackRequest{mode: "simulate", model: "lenet", seed: 0}
-	s2 := &attackRequest{mode: "simulate", model: "lenet", seed: 2}
-	if s0.cacheKey() == s2.cacheKey() {
-		t.Fatal("seed 0 and seed 2 collide on one cache key")
+	if len(excluded) != 0 || len(leaves) < 40 {
+		t.Fatalf("walked %d leaves; exclusions never visited: %v", len(leaves), excluded)
 	}
-	// The timeout is deliberately not part of the key.
-	tA := base()
-	tA.timeout = 1
-	if tA.cacheKey() != k0 {
-		t.Fatal("timeout leaked into the cache key")
+	// Requesting a default-parameter ranking is itself a different job.
+	noRank := base()
+	noRank.Rank = nil
+	if noRank.cacheKey() == k0 {
+		t.Fatal("rank presence does not change the key")
 	}
 }

@@ -293,8 +293,11 @@ func TestOrphanedLeaseReclaimedByNewServer(t *testing.T) {
 	}
 	defer st.Close()
 
-	req := &attackRequest{mode: "simulate", model: "lenet", timeout: time.Minute}
-	payload, err := encodeRequest(req)
+	req := &Request{Model: "lenet", TimeoutMS: 60000}
+	if err := req.Validate("simulate", 0); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodePayload(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,28 +372,31 @@ func TestWeightsStageObservedOnFailure(t *testing.T) {
 // server restarted with a different -max-structures cannot replay results
 // computed under the old bound.
 func TestCacheKeyUsesEffectiveCap(t *testing.T) {
-	base := func() *attackRequest {
-		return &attackRequest{mode: "simulate", model: "lenet", classes: 10, maxStructures: 100}
+	validated := func(serverCap int) *Request {
+		r := &Request{Model: "lenet", Classes: 10, MaxStructures: 100}
+		if err := r.Validate("simulate", serverCap); err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	tight := &Server{cfg: Config{MaxStructures: 7}}
-	loose := &Server{cfg: Config{MaxStructures: 0}}
-
-	a, b := base(), base()
-	a.maxStructures = tight.solverOptions(a).MaxStructures
-	a.capResolved = true
-	b.maxStructures = loose.solverOptions(b).MaxStructures
-	b.capResolved = true
-	if a.maxStructures != 7 {
-		t.Fatalf("effective cap = %d, want server cap 7", a.maxStructures)
+	a, b := validated(7), validated(0)
+	if a.MaxStructures != 7 {
+		t.Fatalf("effective cap = %d, want server cap 7", a.MaxStructures)
 	}
 	if a.cacheKey() == b.cacheKey() {
 		t.Fatal("cache keys collide across different effective caps")
 	}
-	if !strings.HasPrefix(a.cacheKey(), "v3|") {
-		t.Fatalf("cache key %q not version-bumped", a.cacheKey())
+	// Once resolved, the cap travels in the payload and a worker solves
+	// under it verbatim, whatever its own -max-structures.
+	payload, err := encodePayload(b, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Once resolved, a worker's own config must not re-merge the cap.
-	if got := tight.solverOptions(b).MaxStructures; got != b.maxStructures {
-		t.Fatalf("worker re-merged resolved cap: %d, want %d", got, b.maxStructures)
+	got, _, err := decodePayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := got.solverOptions().MaxStructures; limit != b.MaxStructures {
+		t.Fatalf("worker re-merged resolved cap: %d, want %d", limit, b.MaxStructures)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"cnnrev/internal/jobstore"
+	"cnnrev/internal/memtrace"
 )
 
 // Server roles. A frontend serves the HTTP attack/job surface but runs no
@@ -124,9 +125,10 @@ var errDraining = errors.New("serve: server shutting down")
 
 // job is one claimed attack request as the worker executes it.
 type job struct {
-	id  string
-	ctx context.Context
-	req *attackRequest
+	id    string
+	ctx   context.Context
+	req   *Request
+	trace *memtrace.Trace // trace mode: the uploaded trace
 }
 
 // Server runs the job store's HTTP surface and (role permitting) its
@@ -397,7 +399,7 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 	s.met.started.Add(1)
 	defer s.met.running.Add(-1)
 
-	req, derr := decodeRequest(c.Payload)
+	req, trace, derr := decodePayload(c.Payload)
 	if derr != nil {
 		s.met.failed.Add(1)
 		s.log.Error("job payload undecodable", "job", c.ID, "err", derr)
@@ -430,10 +432,10 @@ func (s *Server) runClaimed(idx int, name string, c *jobstore.Claim) {
 
 	start := time.Now()
 	s.log.Info("job start", "job", c.ID, "worker", name, "attempt", c.Attempt,
-		"mode", req.mode, "model", req.model, "rank", req.rank != nil,
-		"weights", req.weights, "timeout", req.timeout)
+		"mode", req.Mode, "model", req.Model, "rank", req.Rank != nil,
+		"weights", req.Weights, "deadline", c.Deadline)
 
-	resp, status, err := s.execute(&job{id: c.ID, ctx: ctx, req: req})
+	resp, status, err := s.execute(&job{id: c.ID, ctx: ctx, req: req, trace: trace})
 
 	close(hbStop)
 	<-hbDone
