@@ -1,11 +1,14 @@
 // Command revcnn runs the paper's structure reverse-engineering attack
 // (§3) end to end: it simulates a victim on the CNN accelerator, observes
 // the off-chip memory trace, and enumerates every network structure
-// consistent with the trace.
+// consistent with the trace. With -trace it attacks a recorded trace
+// instead (the tracegen → revcnn workflow); both modes run the same
+// pipeline with the same attack flags and print the same report.
 //
 // Usage:
 //
 //	revcnn -model alexnet [-modular] [-tol 1.35] [-rank] [-depthdiv 16]
+//	revcnn -trace lenet.trace -inw 28 -ind 1 -classes 10 [-tol 1.35] [-rank]
 package main
 
 import (
@@ -21,7 +24,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	model := flag.String("model", "lenet", "victim model: lenet|convnet|alexnet|squeezenet|vgg11|nin|resnetmini")
-	classes := flag.Int("classes", 0, "classifier outputs (default: 10 small nets, 1000 large)")
+	classes := flag.Int("classes", 0, "classifier outputs (default: the model's, 1000 for alexnet/squeezenet, else 10)")
 	modular := flag.Bool("modular", false, "assume repeated modules are identical (paper's SqueezeNet reduction)")
 	tol := flag.Float64("tol", 1.35, "execution-time filter tolerance (max cycles-per-MAC spread)")
 	rank := flag.Bool("rank", false, "short-train candidates on synthetic data and rank them (Figs 4-5)")
@@ -31,7 +34,7 @@ func main() {
 	eta := flag.Int("eta", 0, "with -halving: elimination factor (0 = default 2)")
 	minEpochs := flag.Int("minepochs", 0, "with -halving: first-rung epoch budget (0 = default 1)")
 	seed := flag.Int64("seed", 2, "victim weight/input seed")
-	dataflow := flag.String("dataflow", "", "accelerator dataflow: os|ws|rs (or output-stationary|weight-stationary|row-stationary; default os)")
+	dataflow := flag.String("dataflow", "", "accelerator dataflow: os|ws|rs (or output-stationary|weight-stationary|row-stationary; default os); with -trace, the declared one")
 	defenseKind := flag.String("defense", "", "defensive trace transform on the victim side: none|dummy|pad|rerand|fuse|oram")
 	defenseSeed := flag.Int64("defense-seed", 0, "seed for the randomized defenses (dummy, rerand, oram)")
 	dummyRate := flag.Float64("defense-dummy-rate", 0, "with -defense dummy: injected records per real record (0 = default 1)")
@@ -59,27 +62,42 @@ func main() {
 		log.Fatalf("revcnn: %v", err)
 	}
 
-	if *traceFile != "" {
-		attackTraceFile(*traceFile, *inW, *inD, *classes)
-		return
-	}
-
-	net, err := buildModel(*model, *classes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net.InitWeights(*seed)
-
 	opt := cnnrev.DefaultSolverOptions()
 	opt.IdenticalModules = *modular
 	opt.TimingSpreadMax = *tol
 	spec := cnnrev.StructureAttackSpec{Defense: dcfg, Tolerant: *tolerant}
-	rep, err := cnnrev.RunStructureAttackSpec(context.Background(), net, cnnrev.AccelConfig{Dataflow: df}, opt, *seed, spec)
-	if err != nil {
-		log.Fatal(err)
+
+	var rep *cnnrev.StructureReport
+	var input cnnrev.Shape
+	if *traceFile != "" {
+		if *inW <= 0 || *inD <= 0 || *classes <= 0 {
+			log.Fatal("revcnn: -trace requires -inw, -ind and -classes")
+		}
+		tr, err := readTrace(*traceFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		input = cnnrev.Shape{C: *inD, H: *inW, W: *inW}
+		rep, err = cnnrev.AttackTrace(context.Background(), tr, input, *classes, 4, df, opt, spec, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("trace %s: %d records, %d block transfers (%v input, %d classes)\n",
+			*traceFile, len(tr.Accesses), tr.Blocks(), input, *classes)
+	} else {
+		net, err := cnnrev.Build(*model, *classes, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		net.InitWeights(*seed)
+		input = net.Input
+		rep, err = cnnrev.RunStructureAttackSpec(context.Background(), net, cnnrev.AccelConfig{Dataflow: df}, opt, *seed, spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("victim: %s (%v input, %d classes)\n", net.Name, net.Input, net.NumClasses())
 	}
 
-	fmt.Printf("victim: %s (%v input, %d classes)\n", net.Name, net.Input, net.NumClasses())
 	fmt.Printf("accelerator dataflow: %s (detected from trace: %s)\n", rep.Dataflow, rep.DetectedDataflow)
 	if rep.Defense != "" {
 		fmt.Printf("defense: %s (bandwidth x%.2f, latency x%.2f)\n",
@@ -87,8 +105,11 @@ func main() {
 	}
 	fmt.Printf("trace observed: %d bytes of off-chip transfers\n", rep.TraceBytes)
 	rep.Analysis.WriteReport(os.Stdout)
-	fmt.Printf("candidate structures: %d (true structure found: %v)\n",
-		len(rep.Structures), rep.TruthIndex >= 0)
+	fmt.Printf("candidate structures: %d", len(rep.Structures))
+	if *traceFile == "" {
+		fmt.Printf(" (true structure found: %v)", rep.TruthIndex >= 0)
+	}
+	fmt.Println()
 	fmt.Println("\nper-layer candidate configurations:")
 	for seg := range rep.Analysis.Segments {
 		cfgs := rep.PerLayer[seg]
@@ -103,7 +124,7 @@ func main() {
 
 	if *rank {
 		fmt.Println("\nshort-training candidates on synthetic data...")
-		res := cnnrev.RankCandidatesResult(context.Background(), rep, net.Input, cnnrev.RankConfig{
+		res := cnnrev.RankCandidatesResult(context.Background(), rep, input, cnnrev.RankConfig{
 			DepthDiv: *depthDiv, Seed: *seed, Epochs: *epochs,
 			Halving: *halving, Eta: *eta, MinEpochs: *minEpochs,
 		})
@@ -128,62 +149,12 @@ func main() {
 	}
 }
 
-// attackTraceFile runs the structure attack on a recorded trace (the
-// tracegen → revcnn workflow: the adversary need not share a process with
-// the victim).
-func attackTraceFile(path string, inW, inD, classes int) {
-	if inW <= 0 || inD <= 0 || classes <= 0 {
-		log.Fatal("revcnn: -trace requires -inw, -ind and -classes")
-	}
+// readTrace loads a trace file written by cmd/tracegen.
+func readTrace(path string) (*cnnrev.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := cnnrev.ReadTrace(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	input := cnnrev.Shape{C: inD, H: inW, W: inW}
-	structures, err := cnnrev.RunStructureAttackOnTrace(tr, input, classes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("trace %s: %d records, %d block transfers\n", path, len(tr.Accesses), tr.Blocks())
-	if det, err := cnnrev.DetectTraceDataflow(tr, input); err == nil {
-		fmt.Printf("detected dataflow: %s\n", det.Class)
-	}
-	fmt.Printf("candidate structures: %d\n", len(structures))
-	for i, st := range structures {
-		fmt.Printf("candidate %d:\n", i)
-		for _, c := range st.WeightedConfigs() {
-			fmt.Printf("  %s\n", c.String())
-		}
-	}
-}
-
-func buildModel(model string, classes int) (*cnnrev.Network, error) {
-	if classes == 0 {
-		classes = 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-	}
-	switch model {
-	case "lenet":
-		return cnnrev.LeNet(classes), nil
-	case "convnet":
-		return cnnrev.ConvNet(classes), nil
-	case "alexnet":
-		return cnnrev.AlexNet(classes, 1), nil
-	case "squeezenet":
-		return cnnrev.SqueezeNet(classes, 1), nil
-	case "vgg11":
-		return cnnrev.VGG11(classes, 1), nil
-	case "nin":
-		return cnnrev.NiN(classes, 1), nil
-	case "resnetmini":
-		return cnnrev.ResNetMini(classes, 1), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", model)
+	return cnnrev.ReadTrace(f)
 }

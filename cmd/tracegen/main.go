@@ -21,7 +21,7 @@ func main() {
 	out := flag.String("out", "", "output trace file (required)")
 	zeroPrune := flag.Bool("zeroprune", false, "enable dynamic zero pruning of feature maps")
 	depthDiv := flag.Int("depthdiv", 1, "channel-count divisor (1 = paper size)")
-	classes := flag.Int("classes", 0, "classifier outputs (default: 10 small nets, 1000 large)")
+	classes := flag.Int("classes", 0, "classifier outputs (default: the model's, 1000 for alexnet/squeezenet, else 10)")
 	seed := flag.Int64("seed", 2, "input/weight seed")
 	dataflow := flag.String("dataflow", "", "accelerator dataflow: os|ws|rs (or output-stationary|weight-stationary|row-stationary; default os)")
 	defenseKind := flag.String("defense", "", "defensive trace transform applied before writing: none|dummy|pad|rerand|fuse|oram")
@@ -49,7 +49,7 @@ func main() {
 		log.Fatalf("tracegen: %v", err)
 	}
 
-	net, err := buildModel(*model, *classes, *depthDiv)
+	net, err := cnnrev.Build(*model, *classes, *depthDiv)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,30 +78,4 @@ func main() {
 	}
 	fmt.Printf("wrote %s: %s dataflow, %d records, %d block transfers (block %dB), last cycle %d\n",
 		*out, df, len(tr.Accesses), tr.Blocks(), tr.BlockBytes, tr.LastCycle())
-}
-
-func buildModel(model string, classes, depthDiv int) (*cnnrev.Network, error) {
-	if classes == 0 {
-		classes = 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-	}
-	switch model {
-	case "lenet":
-		return cnnrev.LeNet(classes), nil
-	case "convnet":
-		return cnnrev.ConvNet(classes), nil
-	case "alexnet":
-		return cnnrev.AlexNet(classes, depthDiv), nil
-	case "squeezenet":
-		return cnnrev.SqueezeNet(classes, depthDiv), nil
-	case "vgg11":
-		return cnnrev.VGG11(classes, depthDiv), nil
-	case "nin":
-		return cnnrev.NiN(classes, depthDiv), nil
-	case "resnetmini":
-		return cnnrev.ResNetMini(classes, depthDiv), nil
-	}
-	return nil, fmt.Errorf("unknown model %q", model)
 }

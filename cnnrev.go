@@ -35,7 +35,6 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
 	"cnnrev/internal/defense"
-	"cnnrev/internal/experiments"
 	"cnnrev/internal/memtrace"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/oram"
@@ -52,12 +51,6 @@ type (
 	AccelConfig = accel.Config
 	// Dataflow selects the accelerator's data-reuse schedule.
 	Dataflow = accel.Dataflow
-	// DataflowClass is a detector verdict: one of the three schedules, or
-	// ambiguous when the trace does not discriminate.
-	DataflowClass = structrev.DataflowClass
-	// DataflowDetection is the full auto-detection outcome, including
-	// per-segment votes.
-	DataflowDetection = structrev.DataflowDetection
 	// Trace is an observed off-chip memory trace.
 	Trace = memtrace.Trace
 	// SolverOptions tunes the structure attack.
@@ -103,7 +96,11 @@ var DefenseKinds = defense.Kinds
 // Model-zoo constructors: the paper's four study networks plus the
 // beyond-paper victims (VGG-11, Network-in-Network, a mini ResNet with
 // projection shortcuts). depthDiv scales channel counts (1 = paper size).
+// Build looks a victim up by name (lenet, convnet, alexnet, squeezenet,
+// vgg11, nin, resnetmini); classes 0 picks the model's default (1000 for
+// alexnet and squeezenet, 10 otherwise) and depthDiv 0 means 1.
 var (
+	Build      = nn.Build
 	LeNet      = nn.LeNet
 	ConvNet    = nn.ConvNet
 	AlexNet    = nn.AlexNet
@@ -182,29 +179,17 @@ func RankCandidatesResult(ctx context.Context, rep *StructureReport, input Shape
 	return core.RankCandidatesResult(ctx, rep, input, rc)
 }
 
-// RunStructureAttackOnTrace reverse engineers candidate structures directly
-// from a recorded trace (e.g. one written by cmd/tracegen), given the
-// adversary-known input shape and classifier width. Element size is assumed
-// to be 4 bytes (float32).
-func RunStructureAttackOnTrace(tr *Trace, input Shape, classes int) ([]Structure, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return nil, err
-	}
-	return structrev.Solve(a, input.W, input.C, classes, structrev.DefaultOptions())
-}
-
-// DetectTraceDataflow segments a recorded trace and classifies which
-// accelerator dataflow produced it from the read/write interleaving alone
-// (no knowledge of the victim beyond the input shape). Element size is
-// assumed to be 4 bytes (float32).
-func DetectTraceDataflow(tr *Trace, input Shape) (DataflowDetection, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return DataflowDetection{}, err
-	}
-	return structrev.DetectDataflow(tr, a, structrev.DetectOptions{}), nil
-}
+// AttackTrace runs the post-capture half of the §3 pipeline on an
+// observed trace — e.g. one written by cmd/tracegen — given what the
+// adversary knows of the victim: the input shape, the classifier width, the
+// element size (4 bytes for float32) and the declared dataflow (reported
+// back, never assumed). spec applies a defense, a corruption model or the
+// tolerant analysis first; onStage, if non-nil, observes each stage. The
+// report's TruthIndex is -1, since a trace carries no ground truth. When
+// the enumeration stops early (context expiry or opt.MaxStructures) the
+// report keeps the deterministic prefix with Partial set, alongside the
+// error.
+var AttackTrace = core.AttackTrace
 
 // CaptureTrace runs one inference and returns the observable trace.
 func CaptureTrace(net *Network, cfg AccelConfig, seed int64) (*Trace, error) {
@@ -238,19 +223,7 @@ func CaptureServedTrace(net *Network, cfg AccelConfig, n int, seed int64) (*Trac
 // inferences (a serving accelerator observed continuously), splits it into
 // inferences, and solves each slice. Element size is assumed 4 bytes.
 func AttackServedTrace(tr *Trace, input Shape, classes int) ([][]Structure, error) {
-	a, err := structrev.Analyze(tr, input.Len()*4, 4)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]Structure
-	for _, inf := range a.Inferences() {
-		structures, err := structrev.Solve(inf, input.W, input.C, classes, structrev.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, structures)
-	}
-	return out, nil
+	return core.AttackServedTrace(tr, input, classes, 4, structrev.DefaultOptions())
 }
 
 // ObfuscateTrace replays a trace through Path ORAM.
@@ -288,4 +261,4 @@ func ReadTrace(r io.Reader) (*Trace, error) { return memtrace.ReadTrace(r) }
 func DecodeTrace(data []byte) (*Trace, error) { return memtrace.DecodeTrace(data) }
 
 // PrunedConv1 builds the Figure-7 victim layer (pruned AlexNet CONV1).
-var PrunedConv1 = experiments.PrunedConv1
+var PrunedConv1 = nn.PrunedConv1

@@ -2,6 +2,7 @@ package cnnrev
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -24,10 +25,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	structures, err := RunStructureAttackOnTrace(tr2, victim.Input, victim.NumClasses())
+	fromTrace, err := AttackTrace(context.Background(), tr2, victim.Input, victim.NumClasses(), 4, OutputStationary, DefaultSolverOptions(), StructureAttackSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	structures := fromTrace.Structures
 	if len(structures) == 0 {
 		t.Fatal("no structures from round-tripped trace")
 	}
@@ -79,7 +81,7 @@ func TestPublicAPIORAM(t *testing.T) {
 	if stats.Overhead() < 10 {
 		t.Fatalf("implausible ORAM overhead %v", stats.Overhead())
 	}
-	if _, err := RunStructureAttackOnTrace(obf, victim.Input, 10); err == nil {
+	if _, err := AttackTrace(context.Background(), obf, victim.Input, 10, 4, OutputStationary, DefaultSolverOptions(), StructureAttackSpec{}, nil); err == nil {
 		t.Fatal("attack should fail on obfuscated trace")
 	}
 }
@@ -155,7 +157,7 @@ func TestTraceAttackRejectsWrongInputShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Declaring a much larger input must fail the region matching.
-	if _, err := RunStructureAttackOnTrace(tr, Shape{C: 3, H: 224, W: 224}, 10); err == nil {
+	if _, err := AttackTrace(context.Background(), tr, Shape{C: 3, H: 224, W: 224}, 10, 4, OutputStationary, DefaultSolverOptions(), StructureAttackSpec{}, nil); err == nil {
 		t.Fatal("expected input-shape mismatch error")
 	}
 }

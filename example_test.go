@@ -1,6 +1,7 @@
 package cnnrev_test
 
 import (
+	"context"
 	"fmt"
 
 	"cnnrev"
@@ -47,7 +48,8 @@ func ExampleObfuscateTrace() {
 		panic(err)
 	}
 	fmt.Println("overhead exceeds 50x:", stats.Overhead() > 50)
-	_, attackErr := cnnrev.RunStructureAttackOnTrace(obf, victim.Input, 10)
+	_, attackErr := cnnrev.AttackTrace(context.Background(), obf, victim.Input, 10, 4,
+		cnnrev.OutputStationary, cnnrev.DefaultSolverOptions(), cnnrev.StructureAttackSpec{}, nil)
 	fmt.Println("attack defeated:", attackErr != nil)
 	// Output:
 	// overhead exceeds 50x: true

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,9 @@ func main() {
 
 	// The adversary sees uniformly random paths: no read-only filter
 	// regions, no read-after-write layer boundaries.
-	if _, err := cnnrev.RunStructureAttackOnTrace(obf, victim.Input, victim.NumClasses()); err != nil {
+	_, err = cnnrev.AttackTrace(context.Background(), obf, victim.Input, victim.NumClasses(), 4,
+		cnnrev.OutputStationary, cnnrev.DefaultSolverOptions(), cnnrev.StructureAttackSpec{}, nil)
+	if err != nil {
 		fmt.Printf("structure attack on the obfuscated trace fails: %v\n", err)
 	} else {
 		fmt.Println("unexpected: attack still worked")

@@ -126,10 +126,8 @@ func RunStructureAttack(net *nn.Network, cfg accel.Config, opt structrev.Options
 // cancellation, the hostile-probe and defense spec, and optional stage
 // observation: it captures net's trace (stage "capture") and hands it to
 // AttackTrace with what the adversary knows of the victim, then scores the
-// candidates against the victim's true structure. If ctx expires during the
-// candidate enumeration, the returned report carries the structures found
-// so far with Partial set, alongside ctx's error; cancellation before the
-// solve stage returns a nil report.
+// candidates (a partial report's prefix included) against the victim's
+// true structure. Errors and partial reports are AttackTrace's.
 func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Config, opt structrev.Options, seed int64, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -156,7 +154,14 @@ func RunStructureAttackSpec(ctx context.Context, net *nn.Network, cfg accel.Conf
 // input and classes are what the adversary knows of the victim, elemBytes
 // its element size, and dataflow the declared scheduling reported back as
 // rep.Dataflow. TruthIndex is -1: a trace alone carries no ground truth.
-// Cancellation behaves as in RunStructureAttackSpec.
+//
+// AttackTrace is the only post-capture pipeline: the CLIs, the service, the
+// facade and the experiment sweeps all run their traces through it. When
+// the candidate enumeration stops early — ctx expires, or it passes
+// opt.MaxStructures (structrev.ErrTooManyStructures) — the report carries
+// the deterministic prefix enumerated so far with Partial set, alongside
+// the error. Any other error, and cancellation before the solve stage,
+// returns a nil report.
 func AttackTrace(ctx context.Context, trace *memtrace.Trace, input nn.Shape, classes, elemBytes int, dataflow accel.Dataflow, opt structrev.Options, spec StructureAttackSpec, onStage StageFunc) (*StructureReport, error) {
 	stage := func(name string, t0 time.Time) {
 		if onStage != nil {
@@ -205,7 +210,7 @@ func AttackTrace(ctx context.Context, trace *memtrace.Trace, input nn.Shape, cla
 	t0 = time.Now()
 	structures, serr := structrev.SolveCtx(ctx, a, input.W, input.C, classes, opt)
 	stage("solve", t0)
-	if serr != nil && !isCtxErr(serr) {
+	if serr != nil && !isCtxErr(serr) && !errors.Is(serr, structrev.ErrTooManyStructures) {
 		return nil, serr
 	}
 	rep := &StructureReport{
@@ -229,10 +234,30 @@ func AttackTrace(ctx context.Context, trace *memtrace.Trace, input nn.Shape, cla
 	return rep, serr
 }
 
+// AttackServedTrace analyzes a trace holding several back-to-back
+// inferences (a serving accelerator observed continuously), splits the
+// analysis at each inference boundary, and solves every slice with opt.
+// input, classes and elemBytes are as in AttackTrace.
+func AttackServedTrace(trace *memtrace.Trace, input nn.Shape, classes, elemBytes int, opt structrev.Options) ([][]structrev.Structure, error) {
+	a, err := structrev.Analyze(trace, input.Len()*elemBytes, elemBytes)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]structrev.Structure
+	for _, inf := range a.Inferences() {
+		structures, err := structrev.Solve(inf, input.W, input.C, classes, opt)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, structures)
+	}
+	return out, nil
+}
+
 // FindTruth returns the index of the first candidate matching the ground
 // truth (up to padding equivalence), or -1. Exported so experiments that
-// drive the analysis stages directly can score truth retention the same way
-// the pipeline does.
+// solve one analysis under several options can score truth retention the
+// same way the pipeline does.
 func FindTruth(structures []structrev.Structure, truth []structrev.LayerConfig) int {
 	for i := range structures {
 		if structureMatches(&structures[i], truth) {

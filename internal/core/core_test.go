@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -196,5 +198,71 @@ func TestGroundTruthConfigsShapes(t *testing.T) {
 	}
 	if truth[0].F != 11 || !truth[0].HasPool {
 		t.Fatalf("conv1 config: %+v", truth[0])
+	}
+}
+
+func TestFindTruth(t *testing.T) {
+	net := nn.LeNet(10)
+	truth := GroundTruthConfigs(net)
+	structure := func(edit func([]structrev.LayerConfig) []structrev.LayerConfig) structrev.Structure {
+		cfgs := edit(append([]structrev.LayerConfig(nil), truth...))
+		var st structrev.Structure
+		for i := range cfgs {
+			st.Layers = append(st.Layers, structrev.SolvedLayer{Segment: i, Config: &cfgs[i]})
+		}
+		return st
+	}
+	cases := []struct {
+		name string
+		edit func([]structrev.LayerConfig) []structrev.LayerConfig
+		want int
+	}{
+		{"truth", func(c []structrev.LayerConfig) []structrev.LayerConfig { return c }, 0},
+		{"pool padding", func(c []structrev.LayerConfig) []structrev.LayerConfig { c[0].PPool = 1; return c }, -1},
+		{"kernel", func(c []structrev.LayerConfig) []structrev.LayerConfig { c[1].F++; return c }, -1},
+		{"extra layer", func(c []structrev.LayerConfig) []structrev.LayerConfig { return append(c, c[len(c)-1]) }, -1},
+	}
+	for _, c := range cases {
+		if got := FindTruth([]structrev.Structure{structure(c.edit)}, truth); got != c.want {
+			t.Errorf("%s: FindTruth = %d, want %d", c.name, got, c.want)
+		}
+	}
+	// The index is the first match's.
+	wrong := structure(cases[2].edit)
+	if got := FindTruth([]structrev.Structure{wrong, structure(cases[0].edit)}, truth); got != 1 {
+		t.Errorf("truth second: FindTruth = %d, want 1", got)
+	}
+}
+
+// TestAttackTraceKeepsPrefixOnCap pins AttackTrace's contract on a
+// MaxStructures overflow: like a deadline, the report carries the
+// deterministic prefix with Partial set, alongside the wrapped sentinel.
+func TestAttackTraceKeepsPrefixOnCap(t *testing.T) {
+	net := nn.LeNet(10)
+	net.InitWeights(1)
+	full, err := RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := Capture(net, accel.Config{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := structrev.DefaultOptions()
+	opt.MaxStructures = 5
+	rep, err := AttackTrace(context.Background(), cap.Result.Trace, net.Input, 10, 4, accel.OutputStationary, opt, StructureAttackSpec{}, nil)
+	if !errors.Is(err, structrev.ErrTooManyStructures) {
+		t.Fatalf("err = %v, want ErrTooManyStructures", err)
+	}
+	if rep == nil || !rep.Partial || len(rep.Structures) != opt.MaxStructures {
+		t.Fatalf("want a partial report of %d structures, got %+v", opt.MaxStructures, rep)
+	}
+	for i := range rep.Structures {
+		got, want := rep.Structures[i].WeightedConfigs(), full.Structures[i].WeightedConfigs()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("structure %d config %d: %v != %v", i, j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -27,11 +27,7 @@ func AblationTimingSweep(model string, tols []float64) ([]TimingSweepRow, error)
 	if len(tols) == 0 {
 		tols = []float64{1.05, 1.15, 1.35, 2.0, 4.0}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, base, err := paperVictim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -47,46 +43,17 @@ func AblationTimingSweep(model string, tols []float64) ([]TimingSweepRow, error)
 	truth := core.GroundTruthConfigs(net)
 	var rows []TimingSweepRow
 	for _, tol := range tols {
-		opt := structrev.DefaultOptions()
+		opt := base
 		opt.TimingSpreadMax = tol
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		structures, err := structrev.Solve(a, net.Input.W, net.Input.C, net.NumClasses(), opt)
 		if err != nil {
 			return nil, err
 		}
-		row := TimingSweepRow{Tolerance: tol, Candidates: len(structures)}
-		for i := range structures {
-			if matchesTruth(&structures[i], truth) {
-				row.TruthFound = true
-				break
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, TimingSweepRow{
+			Tolerance: tol, Candidates: len(structures), TruthFound: core.FindTruth(structures, truth) >= 0,
+		})
 	}
 	return rows, nil
-}
-
-func matchesTruth(st *structrev.Structure, truth []structrev.LayerConfig) bool {
-	cfgs := st.WeightedConfigs()
-	if len(cfgs) != len(truth) {
-		return false
-	}
-	for i := range cfgs {
-		a, b := cfgs[i], truth[i]
-		if a.FC != b.FC || a.WOFM != b.WOFM || a.DOFM != b.DOFM {
-			return false
-		}
-		if a.FC {
-			continue
-		}
-		if a.F != b.F || a.S != b.S || a.ConvOutW() != b.ConvOutW() ||
-			a.HasPool != b.HasPool || a.FPool != b.FPool || a.SPool != b.SPool {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatTimingSweep renders the sweep.
@@ -112,19 +79,15 @@ type BiasAblationReport struct {
 // when the victim streams biases through DRAM: the extra D_OFM elements let
 // the solver reject wrong output-depth factorizations outright.
 func AblationBiasInDRAM(model string) (*BiasAblationReport, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, opt, err := paperVictim(model)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	plain, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
 	if err != nil {
 		return nil, err
 	}
-	optB := structrev.DefaultOptions()
+	optB := opt
 	optB.BiasInFilters = true
 	withBias, err := core.RunStructureAttack(net, accel.Config{BiasInDRAM: true}, optB, 2)
 	if err != nil {
@@ -224,11 +187,7 @@ type ORAMReport struct {
 // structure attack no longer even segments it, at the measured bandwidth
 // cost.
 func AblationORAM(model string) (*ORAMReport, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, _, err := paperVictim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -271,11 +230,7 @@ func AblationKernelBound(model string, bounds []int) ([]KernelBoundRow, error) {
 	if len(bounds) == 0 {
 		bounds = []int{7, 11, 13, 22, 44}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
-	net, err := victim(model, classes, 1)
+	net, base, err := paperVictim(model)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +246,7 @@ func AblationKernelBound(model string, bounds []int) ([]KernelBoundRow, error) {
 	truth := core.GroundTruthConfigs(net)
 	var rows []KernelBoundRow
 	for _, mb := range bounds {
-		opt := structrev.DefaultOptions()
+		opt := base
 		opt.MaxConvF = mb
 		structures, err := structrev.Solve(a, net.Input.W, net.Input.C, net.NumClasses(), opt)
 		row := KernelBoundRow{MaxConvF: mb}
@@ -299,12 +254,7 @@ func AblationKernelBound(model string, bounds []int) ([]KernelBoundRow, error) {
 			row.Err = err.Error()
 		} else {
 			row.Candidates = len(structures)
-			for i := range structures {
-				if matchesTruth(&structures[i], truth) {
-					row.TruthFound = true
-					break
-				}
-			}
+			row.TruthFound = core.FindTruth(structures, truth) >= 0
 		}
 		rows = append(rows, row)
 	}
@@ -338,17 +288,13 @@ func AblationBlockSize(model string, blocks []int) ([]BlockSizeRow, error) {
 	if len(blocks) == 0 {
 		blocks = []int{4, 16, 64}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []BlockSizeRow
 	for _, bb := range blocks {
-		net, err := victim(model, classes, 1)
+		net, opt, err := paperVictim(model)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.RunStructureAttack(net, accel.Config{BlockBytes: bb}, structrev.DefaultOptions(), 2)
+		rep, err := core.RunStructureAttack(net, accel.Config{BlockBytes: bb}, opt, 2)
 		row := BlockSizeRow{BlockBytes: bb}
 		if err != nil {
 			row.Err = err.Error()
@@ -387,19 +333,11 @@ func AblationTimingNoise(model string, jitters []float64) ([]NoiseRow, error) {
 	if len(jitters) == 0 {
 		jitters = []float64{0, 0.1, 0.25, 0.5}
 	}
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []NoiseRow
 	for _, j := range jitters {
-		net, err := victim(model, classes, 1)
+		net, opt, err := paperVictim(model)
 		if err != nil {
 			return nil, err
-		}
-		opt := structrev.DefaultOptions()
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
 		}
 		rep, err := core.RunStructureAttack(net, accel.Config{CycleJitter: j, NoiseSeed: 11}, opt, 2)
 		if err != nil {
@@ -435,7 +373,7 @@ type PadDefenseReport struct {
 // shows it costs more traffic than disabling pruning altogether: the only
 // safe pruning is no pruning.
 func AblationPadDefense() (*PadDefenseReport, error) {
-	net := PrunedConv1(16, 0.25, 7)
+	net := nn.PrunedConv1(16, 0.25, 7)
 	run := func(cfg accel.Config, seed int64) (*core.CaptureResult, error) {
 		return core.Capture(net, cfg, seed)
 	}
@@ -484,19 +422,11 @@ type DataflowRow struct {
 // dataflows, testing the paper's claim that the RAW structure survives
 // "regardless of micro-architecture details and data reuse strategies".
 func AblationDataflow(model string) ([]DataflowRow, error) {
-	classes := 10
-	if model == "alexnet" || model == "squeezenet" {
-		classes = 1000
-	}
 	var rows []DataflowRow
 	for _, df := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.RowStationary} {
-		net, err := victim(model, classes, 1)
+		net, opt, err := paperVictim(model)
 		if err != nil {
 			return nil, err
-		}
-		opt := structrev.DefaultOptions()
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
 		}
 		rep, err := core.RunStructureAttack(net, accel.Config{Dataflow: df}, opt, 2)
 		if err != nil {

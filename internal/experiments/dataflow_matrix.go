@@ -6,7 +6,6 @@ import (
 
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
-	"cnnrev/internal/structrev"
 )
 
 // DataflowMatrixRow is one (victim, dataflow) cell of the attack-accuracy
@@ -21,9 +20,6 @@ type DataflowMatrixRow struct {
 	TraceBlocks uint64
 }
 
-// dataflowMatrixVictims are the paper's Table 3 victims, in table order.
-var dataflowMatrixVictims = []string{"lenet", "convnet", "alexnet", "squeezenet"}
-
 // DataflowMatrix runs the structure attack for every victim × dataflow
 // pair and records the auto-detected schedule alongside the attack
 // outcome. A nil or empty models slice means all four Table 3 victims.
@@ -32,22 +28,14 @@ var dataflowMatrixVictims = []string{"lenet", "convnet", "alexnet", "squeezenet"
 // from the read/write interleaving before mounting the attack.
 func DataflowMatrix(models []string) ([]DataflowMatrixRow, error) {
 	if len(models) == 0 {
-		models = dataflowMatrixVictims
+		models = table3Victims
 	}
 	var rows []DataflowMatrixRow
 	for _, model := range models {
-		classes := 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
 		for _, df := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.RowStationary} {
-			net, err := victim(model, classes, 1)
+			net, opt, err := paperVictim(model)
 			if err != nil {
 				return nil, err
-			}
-			opt := structrev.DefaultOptions()
-			if model == "squeezenet" {
-				opt.IdenticalModules = true
 			}
 			rep, err := core.RunStructureAttack(net, accel.Config{Dataflow: df}, opt, 2)
 			if err != nil {

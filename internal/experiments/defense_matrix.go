@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -11,7 +9,6 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
 	"cnnrev/internal/defense"
-	"cnnrev/internal/structrev"
 )
 
 // defenseMatrixSeed seeds the randomized defenses (dummy, rerand, oram);
@@ -78,40 +75,32 @@ func defenseConfigFor(kind, model string) defense.Config {
 // the given victims (default: the four Table 3 networks) under both the
 // strict and the noise-tolerant analysis. Each victim is captured once;
 // each defense transforms that capture once, and both analysis modes
-// attack the same defended trace. A nil or empty defenses slice means all
-// of defenseMatrixDefenses.
+// attack the same defended trace through core.AttackTrace (with no
+// further defense in its spec). A nil or empty defenses slice means all of
+// defenseMatrixDefenses.
 //
-// A cell where analysis errors is the defense working as intended and is
+// A cell whose pipeline errors is the defense working as intended and is
 // recorded as defeated, not returned as an error.
 func DefenseMatrix(models, defenses []string) ([]DefenseMatrixRow, error) {
 	if len(models) == 0 {
-		models = dataflowMatrixVictims
+		models = table3Victims
 	}
 	if len(defenses) == 0 {
 		defenses = defenseMatrixDefenses
 	}
 	var rows []DefenseMatrixRow
 	for _, model := range models {
-		classes := 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(model, classes, 1)
+		net, opt, err := paperVictim(model)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
 		opt.MaxStructures = defenseSolveMaxStructures
-		if model == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		cap, err := core.Capture(net, accel.Config{}, 2)
 		if err != nil {
 			return nil, fmt.Errorf("%s: capture: %w", model, err)
 		}
 		truth := core.GroundTruthConfigs(net)
 		elem := cap.Sim.Config().ElemBytes
-		inputBytes := net.Input.Len() * elem
 
 		for _, kind := range defenses {
 			cfg := defenseConfigFor(kind, model)
@@ -132,34 +121,20 @@ func DefenseMatrix(models, defenses []string) ([]DefenseMatrixRow, error) {
 					BandwidthOverhead: bw, LatencyOverhead: lat,
 				}
 				start := time.Now()
-				var a *structrev.Analysis
-				if mode == "strict" {
-					a, err = structrev.Analyze(trace, inputBytes, elem)
+				// The error is the cell's outcome, read off rep: nil is a
+				// defeat, Partial a truncation at the budget.
+				ctx, arm, stop := solveBudget(defenseSolveTimeout)
+				rep, _ := core.AttackTrace(ctx, trace, net.Input, net.NumClasses(), elem, accel.OutputStationary, opt,
+					core.StructureAttackSpec{Tolerant: mode == "tolerant"}, arm)
+				stop()
+				if rep == nil {
+					row.Defeated = true
 				} else {
-					a, err = structrev.AnalyzeTolerant(trace, inputBytes, elem, structrev.TolerantOptions{})
+					row.Truncated = rep.Partial // keep the deterministic prefix
+					row.Segments = len(rep.Analysis.Segments)
+					row.Candidates = len(rep.Structures)
+					row.TruthFound = core.FindTruth(rep.Structures, truth) >= 0
 				}
-				if err != nil {
-					row.Defeated = true
-					row.Elapsed = time.Since(start)
-					rows = append(rows, logDefenseRow(row))
-					continue
-				}
-				row.Segments = len(a.Segments)
-				ctx, cancel := context.WithTimeout(context.Background(), defenseSolveTimeout)
-				structures, serr := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
-				cancel()
-				switch {
-				case serr == nil:
-				case errors.Is(serr, context.DeadlineExceeded), errors.Is(serr, structrev.ErrTooManyStructures):
-					row.Truncated = true // keep the deterministic prefix
-				default:
-					row.Defeated = true
-					row.Elapsed = time.Since(start)
-					rows = append(rows, logDefenseRow(row))
-					continue
-				}
-				row.Candidates = len(structures)
-				row.TruthFound = core.FindTruth(structures, truth) >= 0
 				row.Elapsed = time.Since(start)
 				rows = append(rows, logDefenseRow(row))
 			}

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -17,31 +16,25 @@ import (
 	"cnnrev/internal/structrev"
 )
 
-// victim builds one of the paper's four study networks with deterministic
-// weights.
-func victim(model string, classes, depthDiv int) (*nn.Network, error) {
-	var net *nn.Network
-	switch model {
-	case "lenet":
-		net = nn.LeNet(classes)
-	case "convnet":
-		net = nn.ConvNet(classes)
-	case "alexnet":
-		net = nn.AlexNet(classes, depthDiv)
-	case "squeezenet":
-		net = nn.SqueezeNet(classes, depthDiv)
-	case "vgg11":
-		net = nn.VGG11(classes, depthDiv)
-	case "nin":
-		net = nn.NiN(classes, depthDiv)
-	case "resnetmini":
-		net = nn.ResNetMini(classes, depthDiv)
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %q", model)
+// paperVictim builds model at its default class count and full depth with
+// weights seeded 1, and returns it with the solver options the attack uses
+// on it: the identical-modules reduction for SqueezeNet (the paper's
+// Table 3 assumption) and the Equation (5) relaxation for the mini ResNet's
+// strided 1×1 projection. Every experiment starts from it.
+func paperVictim(model string) (*nn.Network, structrev.Options, error) {
+	net, err := nn.Build(model, 0, 1)
+	if err != nil {
+		return nil, structrev.Options{}, err
 	}
 	net.InitWeights(1)
-	return net, nil
+	opt := structrev.DefaultOptions()
+	opt.IdenticalModules = model == "squeezenet"
+	opt.AllowStrideOverKernel = model == "resnetmini"
+	return net, opt, nil
 }
+
+// table3Victims are the paper's four study networks, in Table 3 order.
+var table3Victims = []string{"lenet", "convnet", "alexnet", "squeezenet"}
 
 // paperStructureCounts records the candidate-structure counts the paper's
 // Table 3 reports.
@@ -61,24 +54,17 @@ type Table3Row struct {
 
 // Table3 reproduces Table 3: the number of possible structures recovered
 // for each study network (SqueezeNet under the identical-modules
-// assumption, as in the paper).
+// assumption, as in the paper). A nil or empty models slice means the four
+// study networks; beyond-paper victims get a paper count of 0.
 func Table3(models []string) ([]Table3Row, error) {
 	if len(models) == 0 {
-		models = []string{"lenet", "convnet", "alexnet", "squeezenet"}
+		models = table3Victims
 	}
 	var rows []Table3Row
 	for _, m := range models {
-		classes := 10
-		if m == "alexnet" || m == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(m, classes, 1)
+		net, opt, err := paperVictim(m)
 		if err != nil {
 			return nil, err
-		}
-		opt := structrev.DefaultOptions()
-		if m == "squeezenet" {
-			opt.IdenticalModules = true
 		}
 		start := time.Now()
 		rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
@@ -129,8 +115,11 @@ type Table4Report struct {
 // Table4 runs the structure attack on AlexNet and gathers the per-layer
 // view.
 func Table4() (*Table4Report, error) {
-	net, _ := victim("alexnet", 1000, 1)
-	rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	net, opt, err := paperVictim("alexnet")
+	if err != nil {
+		return nil, err
+	}
+	rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +182,11 @@ func (r *RankReport) String() string {
 // candidate structures, trained depth-scaled on the synthetic substitute
 // dataset (DESIGN.md §2).
 func Fig4(rc core.RankConfig) (*RankReport, error) {
-	net, _ := victim("alexnet", 1000, 1)
-	rep, err := core.RunStructureAttack(net, accel.Config{}, structrev.DefaultOptions(), 2)
+	net, opt, err := paperVictim("alexnet")
+	if err != nil {
+		return nil, err
+	}
+	rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +200,10 @@ func Fig4(rc core.RankConfig) (*RankReport, error) {
 // Fig5 reproduces Figure 5: top-5 accuracy of the SqueezeNet candidates
 // after three epochs, under the identical-modules assumption.
 func Fig5(rc core.RankConfig) (*RankReport, error) {
-	net, _ := victim("squeezenet", 1000, 1)
-	opt := structrev.DefaultOptions()
-	opt.IdenticalModules = true
+	net, opt, err := paperVictim("squeezenet")
+	if err != nil {
+		return nil, err
+	}
 	rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
 	if err != nil {
 		return nil, err
@@ -235,45 +228,10 @@ func rankReport(name string, scores []core.CandidateScore, topK int) *RankReport
 	return r
 }
 
-// PrunedConv1 builds the Figure-7 victim: a single AlexNet-geometry CONV1
-// layer (96 filters of 11×11×3, stride 4) whose weights are magnitude-
-// pruned (Deep-Compression style) so a zeroFrac fraction is exactly zero,
-// with small positive biases.
-func PrunedConv1(filters int, zeroFrac float64, seed int64) *nn.Network {
-	if filters <= 0 {
-		filters = 96
-	}
-	spec := nn.LayerSpec{Name: "conv1", Kind: nn.KindConv, OutC: filters, F: 11, S: 4, ReLU: true}
-	net := nn.MustNew("alexnet-conv1", nn.Shape{C: 3, H: 227, W: 227}, []nn.LayerSpec{spec})
-	rng := rand.New(rand.NewSource(seed))
-	w := net.Params[0].W.Data
-	for i := range w {
-		w[i] = float32(rng.NormFloat64() * 0.08)
-	}
-	// Magnitude pruning: zero the smallest zeroFrac fraction.
-	mags := make([]float64, len(w))
-	for i, v := range w {
-		mags[i] = abs64(float64(v))
-	}
-	sort.Float64s(mags)
-	thresh := mags[int(float64(len(mags))*zeroFrac)]
-	for i := range w {
-		if abs64(float64(w[i])) <= thresh {
-			w[i] = 0
-		}
-	}
-	for i := range net.Params[0].B.Data {
-		net.Params[0].B.Data[i] = float32(0.03 + 0.04*rng.Float64())
-	}
-	return net
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
+// PrunedConv1 is nn.PrunedConv1, the Figure-7 victim layer, still exported
+// here because the benchmark harness under perfbench/ imports it from this
+// package.
+var PrunedConv1 = nn.PrunedConv1
 
 // Fig7Report is the weight-recovery outcome.
 type Fig7Report struct {
@@ -297,48 +255,11 @@ func (r *Fig7Report) String() string {
 // CONV1 layer via the zero-pruning side channel. filters caps the number of
 // output channels for quick runs (0 = the full 96).
 func Fig7(filters int) (*Fig7Report, error) {
-	net := PrunedConv1(filters, 0.25, 42)
+	net := nn.PrunedConv1(filters, 0.25, 42)
 	start := time.Now()
 	rep, err := core.RunWeightAttack(net, accel.Config{})
 	if err != nil {
 		return nil, err
 	}
 	return &Fig7Report{WeightReport: rep, ZeroFrac: 0.25, Elapsed: time.Since(start)}, nil
-}
-
-// Table3Extended runs the structure attack on the beyond-paper victims
-// (NiN and the mini ResNet; VGG-11 is exercised by the structrev tests —
-// its full-scale FC layers are disproportionately heavy here). ResNet needs
-// the Equation (5) relaxation for its strided projection.
-func Table3Extended() ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, m := range []string{"nin", "resnetmini"} {
-		net, err := victim(m, 10, 1)
-		if err != nil {
-			return nil, err
-		}
-		opt := structrev.DefaultOptions()
-		if m == "resnetmini" {
-			opt.AllowStrideOverKernel = true
-		}
-		start := time.Now()
-		rep, err := core.RunStructureAttack(net, accel.Config{}, opt, 2)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m, err)
-		}
-		layers := 0
-		for i := range net.Specs {
-			if net.Params[i] != nil {
-				layers++
-			}
-		}
-		rows = append(rows, Table3Row{
-			Network:    m,
-			Layers:     layers,
-			Count:      len(rep.Structures),
-			TruthFound: rep.TruthIndex >= 0,
-			Elapsed:    time.Since(start),
-		})
-	}
-	return rows, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"cnnrev/internal/core"
 )
@@ -62,26 +63,6 @@ func TestFig3CSVWellFormed(t *testing.T) {
 	}
 	if len(rep.Boundaries) != rep.Segments {
 		t.Fatalf("%d boundaries for %d segments", len(rep.Boundaries), rep.Segments)
-	}
-}
-
-func TestPrunedConv1Properties(t *testing.T) {
-	net := PrunedConv1(8, 0.25, 1)
-	w := net.Params[0].W.Data
-	zeros := 0
-	for _, v := range w {
-		if v == 0 {
-			zeros++
-		}
-	}
-	frac := float64(zeros) / float64(len(w))
-	if frac < 0.2 || frac > 0.3 {
-		t.Fatalf("zero fraction %.2f, want ~0.25", frac)
-	}
-	for _, b := range net.Params[0].B.Data {
-		if b <= 0 {
-			t.Fatal("biases must be positive for the ReLU side channel to see activity")
-		}
 	}
 }
 
@@ -216,7 +197,7 @@ func TestDataflowMatrixSingleVictim(t *testing.T) {
 }
 
 func TestTable3Extended(t *testing.T) {
-	rows, err := Table3Extended()
+	rows, err := Table3([]string{"nin", "resnetmini"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,5 +260,23 @@ func TestNoiseAndDataflowFormatting(t *testing.T) {
 	kb, _ := AblationKernelBound("lenet", []int{13})
 	if !strings.Contains(FormatKernelBound("lenet", kb), "maxConvF") {
 		t.Fatal("kernel formatting broken")
+	}
+}
+
+// TestSolveBudgetArmsAtDetect pins that the sweeps' budget runs from the
+// end of the detect stage, not from the start of the pipeline.
+func TestSolveBudgetArmsAtDetect(t *testing.T) {
+	ctx, arm, stop := solveBudget(time.Millisecond)
+	defer stop()
+	arm("analyze", 0)
+	time.Sleep(5 * time.Millisecond)
+	if ctx.Err() != nil {
+		t.Fatal("budget expired before the detect stage finished")
+	}
+	arm("detect", 0)
+	select {
+	case <-ctx.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("budget never expired after the detect stage")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
 	"cnnrev/internal/corrupt"
-	"cnnrev/internal/structrev"
 )
 
 // noiseSweepSeeds are the corruption seeds each level is averaged over; the
@@ -40,6 +38,28 @@ const (
 	noiseSolveTimeout       = 15 * time.Second
 	noiseSolveMaxStructures = 20000
 )
+
+// solveBudget returns a context that is cancelled timeout after the
+// pipeline's detect stage completes, the stage observer that arms it, and
+// a func that releases it. Handed to core.AttackTrace, it bounds the
+// candidate enumeration alone: a slow tolerant analysis of a heavily
+// corrupted trace does not eat into the solver's budget.
+func solveBudget(timeout time.Duration) (context.Context, core.StageFunc, func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var timer *time.Timer
+	arm := func(stage string, _ time.Duration) {
+		if stage == "detect" {
+			timer = time.AfterFunc(timeout, cancel)
+		}
+	}
+	stop := func() {
+		if timer != nil {
+			timer.Stop()
+		}
+		cancel()
+	}
+	return ctx, arm, stop
+}
 
 // NoiseSweepPoint is one (victim, corruption level) measurement, averaged
 // over the corruption seeds.
@@ -75,32 +95,27 @@ type NoiseSweepPoint struct {
 // NoiseSweep measures structure-attack degradation under trace corruption
 // for the given victims (default: the four Table 3 networks). Each victim is
 // captured once; every sweep point re-corrupts that trace with seeded drop +
-// bounded-reorder (or co-tenant interference) models and runs the tolerant
-// analysis and solver on the result.
+// bounded-reorder (or co-tenant interference) models and runs it through
+// core.AttackTrace's tolerant analysis and solver. A seed whose pipeline
+// errors is a failure; one whose enumeration stops at the budget is
+// truncated and scored on its deterministic prefix.
 func NoiseSweep(models []string) ([]NoiseSweepPoint, error) {
 	if len(models) == 0 {
-		models = []string{"lenet", "convnet", "alexnet", "squeezenet"}
+		models = table3Victims
 	}
 	var points []NoiseSweepPoint
 	for _, m := range models {
-		classes := 10
-		if m == "alexnet" || m == "squeezenet" {
-			classes = 1000
-		}
-		net, err := victim(m, classes, 1)
+		net, opt, err := paperVictim(m)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
 		opt.MaxStructures = noiseSolveMaxStructures
-		if m == "squeezenet" {
-			opt.IdenticalModules = true
-		}
 		cap, err := core.Capture(net, accel.Config{}, 2)
 		if err != nil {
 			return nil, fmt.Errorf("%s: capture: %w", m, err)
 		}
 		truth := core.GroundTruthConfigs(net)
+		elem := cap.Sim.Config().ElemBytes
 
 		var cfgs []corrupt.Config
 		for _, drop := range noiseDropLevels {
@@ -119,31 +134,23 @@ func NoiseSweep(models []string) ([]NoiseSweepPoint, error) {
 			start := time.Now()
 			for _, seed := range noiseSweepSeeds {
 				cfg.Seed = seed
-				trace := cap.Result.Trace
-				if cfg.Enabled() {
-					trace = corrupt.Apply(trace, cfg)
-				}
-				elem := cap.Sim.Config().ElemBytes
-				a, err := structrev.AnalyzeTolerant(trace, net.Input.Len()*elem, elem, structrev.TolerantOptions{})
-				if err != nil {
+				// The error is the seed's outcome, read off rep: nil is a
+				// failure, Partial a truncation at the budget.
+				ctx, arm, stop := solveBudget(noiseSolveTimeout)
+				rep, _ := core.AttackTrace(ctx, cap.Result.Trace, net.Input, net.NumClasses(), elem, accel.OutputStationary, opt,
+					core.StructureAttackSpec{Corrupt: cfg, Tolerant: true}, arm)
+				stop()
+				if rep == nil {
 					pt.Failures++
 					continue
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), noiseSolveTimeout)
-				structures, err := structrev.SolveCtx(ctx, a, net.Input.W, net.Input.C, net.NumClasses(), opt)
-				cancel()
-				switch {
-				case err == nil:
-				case errors.Is(err, context.DeadlineExceeded), errors.Is(err, structrev.ErrTooManyStructures):
+				if rep.Partial {
 					pt.Truncated++ // keep the deterministic prefix
-				default:
-					pt.Failures++
-					continue
 				}
-				pt.MeanCandidates += float64(len(structures))
-				pt.MeanSegments += float64(len(a.Segments))
-				pt.MeanWriteHole += a.Noise.WriteHoleFrac
-				if core.FindTruth(structures, truth) >= 0 {
+				pt.MeanCandidates += float64(len(rep.Structures))
+				pt.MeanSegments += float64(len(rep.Analysis.Segments))
+				pt.MeanWriteHole += rep.Noise.WriteHoleFrac
+				if core.FindTruth(rep.Structures, truth) >= 0 {
 					pt.TruthRetained++
 				}
 			}

@@ -13,7 +13,6 @@ import (
 
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
-	"cnnrev/internal/structrev"
 )
 
 // RankPerfRow compares the flat full-budget ranking schedule against the
@@ -40,11 +39,9 @@ type RankPerfRow struct {
 
 // rankPerfCase is one victim of the rank sweep.
 type rankPerfCase struct {
-	model   string
-	classes int
-	modular bool
-	tol     float64 // 0 = solver default
-	rc      core.RankConfig
+	model string
+	tol   float64 // 0 = solver default
+	rc    core.RankConfig
 }
 
 // rankPerfCases maps the scale flag onto the sweep: the four Table 3
@@ -65,11 +62,11 @@ func rankPerfCases(scale string) []rankPerfCase {
 	small := core.RankConfig{Classes: 4, PerClass: 12, Epochs: epochs, DepthDiv: 1, Seed: 9}
 	wide := core.RankConfig{Classes: 4, PerClass: 24, Epochs: wideEpochs, DepthDiv: 1, Seed: 9}
 	return []rankPerfCase{
-		{model: "lenet", classes: 10, rc: small},
-		{model: "convnet", classes: 10, rc: small},
-		{model: "alexnet", classes: 1000, rc: big},
-		{model: "squeezenet", classes: 1000, modular: true, rc: big},
-		{model: "lenet", classes: 10, tol: 4.0, rc: wide},
+		{model: "lenet", rc: small},
+		{model: "convnet", rc: small},
+		{model: "alexnet", rc: big},
+		{model: "squeezenet", rc: big},
+		{model: "lenet", tol: 4.0, rc: wide},
 	}
 }
 
@@ -79,12 +76,10 @@ func rankPerfCases(scale string) []rankPerfCase {
 func RankPerf(scale string) ([]RankPerfRow, error) {
 	var rows []RankPerfRow
 	for _, c := range rankPerfCases(scale) {
-		net, err := victim(c.model, c.classes, 1)
+		net, opt, err := paperVictim(c.model)
 		if err != nil {
 			return nil, err
 		}
-		opt := structrev.DefaultOptions()
-		opt.IdenticalModules = c.modular
 		if c.tol > 0 {
 			opt.TimingSpreadMax = c.tol
 		}

@@ -1,6 +1,11 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+)
 
 // scaleC divides a channel count by div, keeping at least one channel.
 // div=1 reproduces the paper-size networks; larger divisors give the
@@ -207,6 +212,74 @@ func ResNetMini(numClasses, depthDiv int) *Network {
 	add(LayerSpec{Name: "head", Kind: KindConv, OutC: numClasses, F: 1, S: 1, ReLU: true,
 		Pool: PoolAvg, PoolF: w, PoolS: w, Inputs: []int{sum2}})
 	return MustNew(fmt.Sprintf("resnetmini/d%d", d), Shape{C: 3, H: 32, W: 32}, specs)
+}
+
+// Build returns the zoo network named model — the paper's four study
+// networks (lenet, convnet, alexnet, squeezenet) or a beyond-paper victim
+// (vgg11, nin, resnetmini) — with fresh, uninitialized weights. classes 0
+// selects the model's default classifier width: 1000 (ImageNet) for
+// alexnet and squeezenet, 10 otherwise. depthDiv 0 means 1 (paper size);
+// lenet and convnet have no depth-scaled variants.
+func Build(model string, classes, depthDiv int) (*Network, error) {
+	if classes <= 0 {
+		classes = 10
+		if model == "alexnet" || model == "squeezenet" {
+			classes = 1000
+		}
+	}
+	if depthDiv <= 0 {
+		depthDiv = 1
+	}
+	switch model {
+	case "lenet":
+		return LeNet(classes), nil
+	case "convnet":
+		return ConvNet(classes), nil
+	case "alexnet":
+		return AlexNet(classes, depthDiv), nil
+	case "squeezenet":
+		return SqueezeNet(classes, depthDiv), nil
+	case "vgg11":
+		return VGG11(classes, depthDiv), nil
+	case "nin":
+		return NiN(classes, depthDiv), nil
+	case "resnetmini":
+		return ResNetMini(classes, depthDiv), nil
+	}
+	return nil, fmt.Errorf("unknown model %q", model)
+}
+
+// PrunedConv1 builds the Figure-7 victim: a single AlexNet-geometry CONV1
+// layer (filters of 11×11×3, stride 4; filters 0 means the full 96) whose
+// weights are magnitude-pruned (Deep-Compression style) so a zeroFrac
+// fraction is exactly zero, with small positive biases.
+func PrunedConv1(filters int, zeroFrac float64, seed int64) *Network {
+	if filters <= 0 {
+		filters = 96
+	}
+	spec := LayerSpec{Name: "conv1", Kind: KindConv, OutC: filters, F: 11, S: 4, ReLU: true}
+	net := MustNew("alexnet-conv1", Shape{C: 3, H: 227, W: 227}, []LayerSpec{spec})
+	rng := rand.New(rand.NewSource(seed))
+	w := net.Params[0].W.Data
+	for i := range w {
+		w[i] = float32(rng.NormFloat64() * 0.08)
+	}
+	// Magnitude pruning: zero the smallest zeroFrac fraction.
+	mags := make([]float64, len(w))
+	for i, v := range w {
+		mags[i] = math.Abs(float64(v))
+	}
+	sort.Float64s(mags)
+	thresh := mags[int(float64(len(mags))*zeroFrac)]
+	for i := range w {
+		if math.Abs(float64(w[i])) <= thresh {
+			w[i] = 0
+		}
+	}
+	for i := range net.Params[0].B.Data {
+		net.Params[0].B.Data[i] = float32(0.03 + 0.04*rng.Float64())
+	}
+	return net
 }
 
 // ConvConfig is a generic convolution-layer description used to materialize

@@ -337,3 +337,44 @@ func TestKindAndPoolStrings(t *testing.T) {
 		t.Fatal("unknown enum names must not be empty")
 	}
 }
+
+func TestBuildDefaultsAndRejectsUnknown(t *testing.T) {
+	for _, c := range []struct {
+		model   string
+		classes int
+	}{{"lenet", 10}, {"convnet", 10}, {"alexnet", 1000}, {"squeezenet", 1000}, {"vgg11", 10}, {"nin", 10}, {"resnetmini", 10}} {
+		net, err := Build(c.model, 0, 32)
+		if err != nil {
+			t.Fatalf("%s: %v", c.model, err)
+		}
+		if net.NumClasses() != c.classes {
+			t.Errorf("%s: %d default classes, want %d", c.model, net.NumClasses(), c.classes)
+		}
+	}
+	if net, err := Build("alexnet", 7, 0); err != nil || net.NumClasses() != 7 || net.Name != "alexnet/d1" {
+		t.Fatalf("explicit classes, default depth: %v, %v", net, err)
+	}
+	if _, err := Build("resnet", 0, 0); err == nil {
+		t.Fatal("expected error for unknown model")
+	}
+}
+
+func TestPrunedConv1Properties(t *testing.T) {
+	net := PrunedConv1(8, 0.25, 1)
+	w := net.Params[0].W.Data
+	zeros := 0
+	for _, v := range w {
+		if v == 0 {
+			zeros++
+		}
+	}
+	frac := float64(zeros) / float64(len(w))
+	if frac < 0.2 || frac > 0.3 {
+		t.Fatalf("zero fraction %.2f, want ~0.25", frac)
+	}
+	for _, b := range net.Params[0].B.Data {
+		if b <= 0 {
+			t.Fatal("biases must be positive for the ReLU side channel to see activity")
+		}
+	}
+}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"cnnrev/internal/accel"
 	"cnnrev/internal/core"
 	"cnnrev/internal/defense"
-	"cnnrev/internal/experiments"
 	"cnnrev/internal/nn"
 	"cnnrev/internal/structrev"
 )
@@ -133,39 +131,16 @@ type attackResponse struct {
 // whether the caller should seed the weights (the pruned-conv victim of the
 // weight attack arrives with its magnitude-pruned weights already set).
 func buildVictim(model string, classes, depthDiv, filters int, zeroFrac float64, seed int64) (net *nn.Network, initWeights bool, err error) {
-	if classes <= 0 {
-		classes = 10
-		if model == "alexnet" || model == "squeezenet" {
-			classes = 1000
-		}
-	}
-	if depthDiv <= 0 {
-		depthDiv = 1
-	}
-	switch model {
-	case "lenet":
-		return nn.LeNet(classes), true, nil
-	case "convnet":
-		return nn.ConvNet(classes), true, nil
-	case "alexnet":
-		return nn.AlexNet(classes, depthDiv), true, nil
-	case "squeezenet":
-		return nn.SqueezeNet(classes, depthDiv), true, nil
-	case "vgg11":
-		return nn.VGG11(classes, depthDiv), true, nil
-	case "nin":
-		return nn.NiN(classes, depthDiv), true, nil
-	case "resnetmini":
-		return nn.ResNetMini(classes, depthDiv), true, nil
-	case "prunedconv1":
+	if model == "prunedconv1" {
 		// The §4 weight-attack victim: a first layer the corner-iteration
 		// algorithm can reach (unpooled, unpadded conv).
 		if zeroFrac <= 0 || zeroFrac >= 1 {
 			zeroFrac = 0.25
 		}
-		return experiments.PrunedConv1(filters, zeroFrac, seed), false, nil
+		return nn.PrunedConv1(filters, zeroFrac, seed), false, nil
 	}
-	return nil, false, fmt.Errorf("unknown model %q", model)
+	net, err = nn.Build(model, classes, depthDiv)
+	return net, true, err
 }
 
 func isCtxErr(err error) bool {
@@ -231,7 +206,9 @@ func (s *Server) execute(j *job) (*attackResponse, int, error) {
 		input = net.Input
 		rep, err = core.RunStructureAttackSpec(ctx, net, accel.Config{Dataflow: dataflow}, opt, *req.Seed, spec, observe)
 	}
-	if err != nil && rep == nil {
+	// A cap overflow keeps its deterministic prefix in rep, but the service
+	// answers it as an unsolvable job, like any other attack failure.
+	if err != nil && (rep == nil || errors.Is(err, structrev.ErrTooManyStructures)) {
 		return fail(http.StatusUnprocessableEntity, err)
 	}
 	if rep.Partial {

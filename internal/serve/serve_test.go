@@ -832,3 +832,32 @@ func TestSimulateWeightAttack(t *testing.T) {
 		t.Fatalf("pooled victim: code %d weights_error %q", code, ar.WeightsError)
 	}
 }
+
+// TestCapOverflowIs422 pins the wire answer to a solver cap overflow: a
+// LeNet attack yields 27 candidates, so max_structures=1 must stay a 422
+// carrying the solver's error on both endpoints, even though the pipeline
+// keeps the overflowing enumeration's prefix internally.
+func TestCapOverflowIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const want = "structrev: more than 1 candidate structures; aborting: too many candidate structures\n"
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/attack/simulate", "application/json",
+		strings.NewReader(`{"model":"lenet","max_structures":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || string(body) != want {
+		t.Fatalf("simulate: status %d body %q, want 422 %q", resp.StatusCode, body, want)
+	}
+
+	raw, _ := lenetTraceBytes(t)
+	code, body, _ := postTrace(t, ts, "inw=28&ind=1&classes=10&max_structures=1", raw)
+	if code != http.StatusUnprocessableEntity || string(body) != want {
+		t.Fatalf("trace: status %d body %q, want 422 %q", code, body, want)
+	}
+}
